@@ -7,14 +7,9 @@ question of *where* each pending point executes is delegated to an
 
 * :class:`InlineExecutor` — serial, in-process.  The reference engine:
   every other executor must be bit-identical to it.
-* :class:`LocalPoolExecutor` — worker processes on this machine.  Wraps
-  both the fast ``multiprocessing.Pool`` path (fault-intolerant, lowest
-  overhead) and the robust pipe-per-worker pool (retries, per-point
-  timeouts, dead-worker recovery) and picks per plan.
-* :class:`RemoteExecutor` — the seam for distributing points across
-  machines.  Transport-agnostic: anything that can turn ``(workload,
-  design, cfg)`` into a ``RunResult`` — an RPC stub, an HTTP client
-  around another host's ``repro serve`` — plugs in as a callable.
+* :class:`LocalPoolExecutor` — warm worker processes on this machine:
+  the pipe-per-worker pool (retries, per-point timeouts, dead-worker
+  recovery) whose workers persist between sweeps.
 
 Executors are deliberately dumb: they receive an :class:`ExecutionPlan`
 (the pending ``(index, attempt)`` pairs plus the ``finish``/``fail``
@@ -26,9 +21,10 @@ this point, maybe retry it".  ``execute`` returns the list of
 orchestrator falls back to :class:`InlineExecutor` for those.
 
 The low-level worker machinery (spawn-safe task runner, pipe-per-worker
-pool) lives in :mod:`repro.core.sweeppool` and is looked up through the
-module at call time, so tests that stub ``sweeppool._start_worker`` or
-``sweeppool._spawn_can_reimport_main`` keep working.
+pool, warm worker set) lives in :mod:`repro.core.sweeppool` and is
+looked up through the module at call time, so tests that stub
+``sweeppool._start_worker`` or ``sweeppool._spawn_can_reimport_main``
+keep working.
 """
 
 import time
@@ -112,30 +108,6 @@ class Executor:
         return f"<{type(self).__name__} kind={self.kind!r}>"
 
 
-def _run_serial(plan, evaluate):
-    """Shared in-process loop: evaluate in order, retry/capture per plan."""
-    for index, first_attempt in plan.pending:
-        attempt = first_attempt
-        while True:
-            try:
-                _idx, result, elapsed = evaluate(plan.task(index, attempt))
-            except Exception as exc:
-                if not plan.robust:
-                    raise
-                if attempt <= plan.retries:
-                    plan.metrics.retries += 1
-                    if plan.retry_backoff > 0.0:
-                        time.sleep(plan.retry_backoff * attempt)
-                    attempt += 1
-                    continue
-                plan.fail(index, attempt, "error", repr(exc),
-                          _traceback.format_exc())
-                break
-            plan.finish(index, result, elapsed)
-            break
-    return []
-
-
 class InlineExecutor(Executor):
     """Serial in-process evaluation — the reference engine.
 
@@ -153,17 +125,37 @@ class InlineExecutor(Executor):
                 "per-point sweep timeout needs worker processes; "
                 "evaluating inline without timeout enforcement",
                 RuntimeWarning, stacklevel=2)
-        return _run_serial(plan, plan.evaluate or sweeppool._evaluate_task)
+        evaluate = plan.evaluate or sweeppool._evaluate_task
+        for index, first_attempt in plan.pending:
+            attempt = first_attempt
+            while True:
+                try:
+                    _idx, result, elapsed = evaluate(plan.task(index, attempt))
+                except Exception as exc:
+                    if not plan.robust:
+                        raise
+                    if attempt <= plan.retries:
+                        plan.metrics.retries += 1
+                        if plan.retry_backoff > 0.0:
+                            time.sleep(plan.retry_backoff * attempt)
+                        attempt += 1
+                        continue
+                    plan.fail(index, attempt, "error", repr(exc),
+                              _traceback.format_exc())
+                    break
+                plan.finish(index, result, elapsed)
+                break
+        return []
 
 
 class LocalPoolExecutor(Executor):
-    """Worker processes on this machine (today's pool, behind the seam).
+    """Worker processes on this machine, kept warm between sweeps.
 
-    A non-robust plan runs on a plain ``multiprocessing.Pool`` (lowest
-    overhead, first failure propagates); a robust plan runs on the
-    pipe-per-worker pool that survives crashed/hung/OOM-killed workers
-    (see :func:`repro.core.sweeppool._run_robust_pool`).  ``jobs=None``
-    or ``0`` means one worker per CPU.
+    Every plan runs on the pipe-per-worker pool that survives
+    crashed/hung/OOM-killed workers (see
+    :func:`repro.core.sweeppool._run_pool`); a non-robust plan still
+    raises the first evaluation error as its original exception type.
+    ``jobs=None`` or ``0`` means one worker per CPU.
     """
 
     kind = "local-pool"
@@ -192,66 +184,8 @@ class LocalPoolExecutor(Executor):
                 "the process boundary — use InlineExecutor")
         if not plan.pending:
             return []
-        ctx = get_context(self.mp_context)
-        if not plan.robust:
-            tasks = [plan.task(index, attempt)
-                     for index, attempt in plan.pending]
-            with ctx.Pool(processes=min(self.jobs, len(tasks))) as pool:
-                for index, result, elapsed in pool.imap(
-                        sweeppool._evaluate_task, tasks):
-                    plan.finish(index, result, elapsed)
-            return []
-        return sweeppool._run_robust_pool(
-            ctx=ctx, nworkers=min(self.jobs, len(plan.pending)),
-            pending=plan.pending, workload=plan.workload,
-            designs=plan.designs, cfg=plan.cfg, faults=plan.faults,
-            retries=plan.retries, retry_backoff=plan.retry_backoff,
-            timeout=plan.timeout, metrics=plan.metrics,
-            finish=plan.finish, fail=plan.fail)
-
-
-class RemoteExecutor(Executor):
-    """Hook for fanning design points out across machines.
-
-    The executor contract is transport-agnostic, so "remote" reduces to
-    one callable: ``transport(workload, design, cfg) -> RunResult``.
-    Wire it to an RPC client, a batch queue, or
-    :meth:`repro.serve.client.ServiceClient.evaluate` pointed at another
-    host's ``repro serve`` — every pending point is shipped through it
-    with the plan's retry/capture semantics (``kind="error"`` failures;
-    remote wall-clock timeouts are the transport's job).  Without a
-    transport the executor refuses to run, loudly: this class is the
-    documented seam, not a silent no-op.
-    """
-
-    kind = "remote"
-
-    def __init__(self, transport=None, label="remote"):
-        self.transport = transport
-        self.label = label
-
-    def effective_jobs(self, npending):
-        # One in-flight request at a time from this process; the far end
-        # may fan out further, but that parallelism is not observable here.
-        return 1
-
-    def execute(self, plan):
-        if self.transport is None:
-            raise NotImplementedError(
-                "RemoteExecutor has no transport configured; pass "
-                "transport=callable(workload, design, cfg) -> RunResult "
-                "(e.g. an HTTP client around another host's 'repro serve')")
-        from repro.core import sweeppool
-
-        def evaluate(task):
-            index, workload, design, cfg, attempt, faults = task
-            if faults:
-                sweeppool.inject_fault(faults, index, attempt)
-            start = time.perf_counter()
-            result = self.transport(workload, design, cfg)
-            return index, result, time.perf_counter() - start
-
-        return _run_serial(plan, evaluate)
+        return sweeppool._run_pool(get_context(self.mp_context),
+                                   min(self.jobs, len(plan.pending)), plan)
 
 
 def resolve_executor(jobs=None, mp_context="spawn", robust=False,

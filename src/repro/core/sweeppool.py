@@ -31,6 +31,15 @@ sweeps run as fast as the hardware allows:
   resume where they left off, and repeated pool-level failure degrades
   gracefully to serial evaluation.
 
+* **Warm workers** — pool workers outlive the sweep that started them.
+  A sweep borrows idle workers from one process-wide warm set, spawns
+  only the shortfall, and returns the live idle ones at the end, so
+  back-to-back sweeps skip interpreter start-up and reuse each worker's
+  trace/DDG caches.  The set retires every idle worker when the start
+  method, the ``REPRO_*`` environment or the workload registry changes
+  (see :func:`_pool_key`), and drains at exit or on
+  :func:`shutdown_pool`.
+
 Cache format (see :data:`CACHE_FORMAT_VERSION`):
 
 ``<cache_dir>/<key[:2]>/<key>.pkl`` where ``key`` is the hex SHA-256 of
@@ -50,22 +59,29 @@ are never cached, so a resumed sweep re-evaluates exactly the missing
 and failed points.
 
 Where evaluations *run* is delegated to the pluggable executor layer
-(:mod:`repro.core.executors`): inline, local worker pool, or a remote
-transport.  ``run_sweep_pool(executor=...)`` accepts any
+(:mod:`repro.core.executors`): inline or the local worker pool.
+``run_sweep_pool(executor=...)`` accepts any
 :class:`~repro.core.executors.Executor`; by default the historical
 selection (pool when it pays, inline otherwise) is preserved exactly.
 """
 
+import atexit
 import hashlib
 import json
 import os
 import pickle
 import sys
 import tempfile
+import threading
 import time
 import traceback as _traceback
 import warnings
 from collections import deque
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not on this platform
+    resource = None
 
 from repro.core.config import DesignPoint, SoCConfig
 from repro.core.soc import run_design
@@ -313,6 +329,12 @@ class SweepMetrics:
     triage skipped exactly, ``confirmed`` points re-evaluated exactly
     after triage; ``fast_time_errors`` / ``fast_power_errors`` collect the
     measured fast-vs-exact relative error for every confirmed pair.
+
+    Pool-cost counters: ``workers_spawned`` worker processes started for
+    this sweep (0 when every worker was borrowed warm; replacements for
+    dead or timed-out workers count too), ``worker_peak_rss_mb`` the
+    largest peak resident set any of its workers reported.  Warm workers
+    outlive the sweep, so this is where their memory stays visible.
     """
 
     def __init__(self):
@@ -323,6 +345,8 @@ class SweepMetrics:
         self.failures = 0
         self.retries = 0
         self.timeouts = 0
+        self.workers_spawned = 0
+        self.worker_peak_rss_mb = 0.0
         self.jobs = 1
         self.wall_seconds = 0.0
         self.point_seconds = []
@@ -380,6 +404,9 @@ class SweepMetrics:
         self.failures += other.failures
         self.retries += other.retries
         self.timeouts += other.timeouts
+        self.workers_spawned += other.workers_spawned
+        self.worker_peak_rss_mb = max(self.worker_peak_rss_mb,
+                                      other.worker_peak_rss_mb)
         self.jobs = max(self.jobs, other.jobs)
         self.wall_seconds += other.wall_seconds
         self.point_seconds.extend(other.point_seconds)
@@ -399,6 +426,8 @@ class SweepMetrics:
             "failures": self.failures,
             "retries": self.retries,
             "timeouts": self.timeouts,
+            "workers_spawned": self.workers_spawned,
+            "worker_peak_rss_mb": self.worker_peak_rss_mb,
             "jobs": self.jobs,
             "wall_seconds": self.wall_seconds,
             "seconds_per_point": self.seconds_per_point,
@@ -426,6 +455,10 @@ class SweepMetrics:
             ("retries", "re-issued attempts", lambda: self.retries),
             ("timeouts", "attempts killed by the per-point timeout",
              lambda: self.timeouts),
+            ("workers_spawned", "pool worker processes started",
+             lambda: self.workers_spawned),
+            ("worker_peak_rss_mb", "largest pool worker peak RSS (MB)",
+             lambda: self.worker_peak_rss_mb),
             ("fast_points", "analytic fast-model predictions",
              lambda: self.fast_points),
             ("pruned", "points pruned by fast-model triage",
@@ -471,6 +504,9 @@ class SweepMetrics:
             f"  worker util  : {self.worker_utilization:.2f} "
             f"(jobs={self.jobs})",
         ])
+        if self.workers_spawned or self.worker_peak_rss_mb:
+            lines.append(f"  pool workers : {self.workers_spawned} spawned, "
+                         f"peak RSS {self.worker_peak_rss_mb:.1f} MB")
         return "\n".join(lines)
 
 
@@ -724,13 +760,42 @@ def resolve_jobs(jobs):
     return jobs
 
 
-def _robust_worker_main(conn):
-    """Robust-pool worker: one task per message over a private pipe.
+def _peak_rss_mb():
+    """This process's peak resident set size in MB (0.0 if unknown)."""
+    if resource is None:
+        return 0.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
-    Replies ``("ok", index, result, elapsed)`` or ``("err", index,
-    error_repr, traceback_text)``; exits on ``None`` or a closed pipe.
-    Module-level and argument-picklable, so it is spawn-safe like
-    :func:`_evaluate_task`.
+
+def _pickled_exception(exc):
+    """``exc`` pickled for the parent, or None when it cannot be."""
+    try:
+        return pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+
+
+def _unpickled_exception(blob):
+    """The exception a worker pickled, or None if it does not load."""
+    if blob is None:
+        return None
+    try:
+        exc = pickle.loads(blob)
+    except Exception:
+        return None
+    return exc if isinstance(exc, BaseException) else None
+
+
+def _worker_main(conn):
+    """Pool worker: one task per message over a private pipe.
+
+    Replies ``("ok", index, (result, elapsed), rss_mb)`` or ``("err",
+    index, (error_repr, traceback_text, pickled_exception), rss_mb)``,
+    where ``rss_mb`` is the worker's peak RSS so far and the pickled
+    exception is None when it cannot be pickled.  Exits on ``None`` or a
+    closed pipe.  Module-level and argument-picklable, so it is
+    spawn-safe like :func:`_evaluate_task`.
     """
     while True:
         try:
@@ -742,21 +807,22 @@ def _robust_worker_main(conn):
         index = task[0]
         try:
             _idx, result, elapsed = _evaluate_task(task)
-            msg = ("ok", index, result, elapsed)
+            msg = ("ok", index, (result, elapsed))
         except Exception as exc:
-            msg = ("err", index, repr(exc), _traceback.format_exc())
+            msg = ("err", index, (repr(exc), _traceback.format_exc(),
+                                  _pickled_exception(exc)))
         try:
-            conn.send(msg)
+            conn.send(msg + (_peak_rss_mb(),))
         except Exception as exc:  # e.g. unpicklable result
             try:
-                conn.send(("err", index, repr(exc),
-                           _traceback.format_exc()))
+                conn.send(("err", index, (repr(exc), _traceback.format_exc(),
+                                          None), _peak_rss_mb()))
             except Exception:
                 return
 
 
 class _WorkerHandle:
-    """One robust-pool worker process plus its duplex pipe and task slot."""
+    """One pool worker process plus its duplex pipe and task slot."""
 
     __slots__ = ("proc", "conn", "task", "deadline")
 
@@ -785,9 +851,9 @@ class _WorkerHandle:
 
 
 def _start_worker(ctx):
-    """Spawn one robust-pool worker (module-level so tests can stub it)."""
+    """Spawn one pool worker (module-level so tests can stub it)."""
     parent_conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(target=_robust_worker_main, args=(child_conn,),
+    proc = ctx.Process(target=_worker_main, args=(child_conn,),
                        daemon=True)
     proc.start()
     child_conn.close()
@@ -795,8 +861,88 @@ def _start_worker(ctx):
 
 
 #: Consecutive dead workers (with no completion in between) before the
-#: robust pool gives up and falls back to serial evaluation.
+#: pool gives up and falls back to serial evaluation.
 _POOL_FAILURE_LIMIT = 4
+
+
+# -- the warm worker set ------------------------------------------------------
+
+#: Environment prefix whose variables a worker captures at start-up
+#: (``REPRO_CHECK``, ``REPRO_DEBUG_FLAGS``, ``REPRO_KERNEL_PATHS``, ...).
+_ENV_PREFIX = "REPRO_"
+
+_warm_lock = threading.Lock()
+_warm_key = None    # _pool_key() the idle workers were started under
+_warm_idle = []     # idle, live _WorkerHandles owned by no sweep
+
+
+def _pool_key(ctx):
+    """What an idle worker must match to be reused.
+
+    A worker fixes its start method, a copy of the environment and the
+    workload registry as it was when it started, so a change to any of
+    them makes it unfit to serve a sweep bit-identically to a fresh one.
+    """
+    from repro.workloads.registry import registry_generation
+    env = tuple(sorted((name, value) for name, value in os.environ.items()
+                       if name.startswith(_ENV_PREFIX)))
+    return ctx.get_start_method(), env, registry_generation()
+
+
+def _borrow_workers(key, count):
+    """Take up to ``count`` live idle workers started under ``key``.
+
+    A key mismatch retires every idle worker; idle workers that died
+    since they were returned are discarded.
+    """
+    global _warm_key
+    with _warm_lock:
+        if key == _warm_key:
+            retired = []
+        else:
+            retired = _warm_idle[:]
+            _warm_idle.clear()
+            _warm_key = key
+        borrowed = []
+        while _warm_idle and len(borrowed) < count:
+            worker = _warm_idle.pop()
+            (borrowed if worker.proc.is_alive() else retired).append(worker)
+    for worker in retired:
+        worker.close()
+    return borrowed
+
+
+def _return_workers(key, workers):
+    """End of a sweep: keep the live idle workers warm, close the rest.
+
+    Busy workers (the sweep raised or collapsed mid-task) are killed;
+    workers borrowed under a key that has since been retired close.
+    """
+    keep = [w for w in workers if w.task is None and w.proc.is_alive()]
+    with _warm_lock:
+        if key != _warm_key:
+            keep = []
+        _warm_idle.extend(keep)
+    for worker in workers:
+        if worker not in keep:
+            worker.close(kill=worker.task is not None)
+
+
+def shutdown_pool():
+    """Close every idle warm worker (also run at interpreter exit).
+
+    Sweeps in flight keep their workers and close them when they end.
+    """
+    global _warm_key
+    with _warm_lock:
+        idle = _warm_idle[:]
+        _warm_idle.clear()
+        _warm_key = None
+    for worker in idle:
+        worker.close()
+
+
+atexit.register(shutdown_pool)
 
 
 def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
@@ -983,32 +1129,41 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
     return results
 
 
-def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
-                     retries, retry_backoff, timeout, metrics, finish, fail):
-    """Apply-async-style dispatch over private per-worker pipes.
+def _run_pool(ctx, nworkers, plan):
+    """Settle ``plan`` on up to ``nworkers`` warm or new worker processes.
 
-    One in-flight task per worker, so a dead worker (crashed / OOM-killed
-    process) identifies exactly the point it was evaluating: the worker is
-    reaped and replaced, the point retried or failed with
+    Apply-async-style dispatch over private per-worker pipes, one
+    in-flight task per worker, so a dead worker (crashed / OOM-killed
+    process) identifies exactly the point it was evaluating: the worker
+    is reaped and replaced, the point retried or failed with
     ``kind="worker-lost"``.  A per-point ``timeout`` kills the overdue
-    worker the same way (``kind="timeout"``).  ``pending`` is a list of
-    ``(index, first_attempt)`` pairs (the :class:`ExecutionPlan` format).
-    Returns the list of ``(index, attempt)`` pairs still outstanding if
-    the pool collapsed (repeated worker deaths with no completions, or no
-    spawnable workers) — the caller falls back to inline evaluation.
+    worker the same way (``kind="timeout"``).  A non-robust plan raises
+    the first evaluation error as the worker's original exception (a
+    :class:`SweepError` via ``plan.fail`` when it cannot be pickled).
+
+    Workers are borrowed from the warm set and the live idle ones go
+    back to it when the sweep ends, however it ends.  Returns the list
+    of ``(index, attempt)`` pairs still outstanding if the pool collapsed
+    (repeated worker deaths with no completions, or no spawnable
+    workers) — the caller falls back to inline evaluation.
     """
     from multiprocessing.connection import wait as conn_wait
+    from multiprocessing.pool import RemoteTraceback
 
+    metrics, retries, timeout = plan.metrics, plan.retries, plan.timeout
     # (index, attempt, not_before)
-    queue = deque((i, a, 0.0) for i, a in pending)
-    workers = []
+    queue = deque((i, a, 0.0) for i, a in plan.pending)
+    key = _pool_key(ctx)
+    workers = _borrow_workers(key, nworkers)
     consecutive_losses = 0
 
     def spawn():
         try:
-            return _start_worker(ctx)
+            worker = _start_worker(ctx)
         except (OSError, RuntimeError, ValueError):
             return None
+        metrics.workers_spawned += 1
+        return worker
 
     def reap(worker, kill):
         workers.remove(worker)
@@ -1020,11 +1175,11 @@ def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
     def requeue_or_fail(index, attempt, kind, error, tb):
         if attempt <= retries:
             metrics.retries += 1
-            not_before = (time.monotonic() + retry_backoff * attempt
-                          if retry_backoff > 0.0 else 0.0)
+            not_before = (time.monotonic() + plan.retry_backoff * attempt
+                          if plan.retry_backoff > 0.0 else 0.0)
             queue.append((index, attempt + 1, not_before))
         else:
-            fail(index, attempt, kind, error, tb)
+            plan.fail(index, attempt, kind, error, tb)
 
     def next_ready(now):
         for _ in range(len(queue)):
@@ -1043,7 +1198,7 @@ def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
         return out
 
     try:
-        for _ in range(nworkers):
+        for _ in range(nworkers - len(workers)):
             worker = spawn()
             if worker is not None:
                 workers.append(worker)
@@ -1067,8 +1222,7 @@ def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
                     break
                 index, attempt, _nb = item
                 try:
-                    worker.conn.send((index, workload, designs[index], cfg,
-                                      attempt, faults))
+                    worker.conn.send(plan.task(index, attempt))
                 except (OSError, BrokenPipeError, ValueError):
                     queue.appendleft((index, attempt, 0.0))
                     consecutive_losses += 1
@@ -1113,12 +1267,17 @@ def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
                     continue
                 worker.task = worker.deadline = None
                 consecutive_losses = 0
-                if msg[0] == "ok":
-                    _tag, idx, result, elapsed = msg
-                    finish(idx, result, elapsed)
-                else:
-                    _tag, idx, error, tb = msg
-                    requeue_or_fail(idx, attempt, "error", error, tb)
+                tag, idx, payload, rss_mb = msg
+                metrics.worker_peak_rss_mb = max(metrics.worker_peak_rss_mb,
+                                                 rss_mb)
+                if tag == "ok":
+                    plan.finish(idx, *payload)
+                    continue
+                error, tb, blob = payload
+                exc = None if plan.robust else _unpickled_exception(blob)
+                if exc is not None:
+                    raise exc from RemoteTraceback(tb)
+                requeue_or_fail(idx, attempt, "error", error, tb)
             # Enforce per-point deadlines on workers that stayed silent.
             now = time.monotonic()
             for worker in list(workers):
@@ -1134,5 +1293,4 @@ def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
                     f"({timeout:g} s)", "")
         return []
     finally:
-        for worker in workers:
-            worker.close(kill=worker.task is not None)
+        _return_workers(key, workers)

@@ -106,6 +106,17 @@ class _BuilderWorkload(Workload):
 
 _REGISTRY = {}    # name -> Workload subclass (builtin, import-time)
 _INSTANCES = {}   # name -> Workload instance (dynamic, runtime)
+_GENERATION = 0   # bumped by every dynamic (un)registration
+
+
+def registry_generation():
+    """A counter that changes whenever a dynamic registration changes.
+
+    Long-lived sweep workers resolve workloads from the registry state
+    they started with; the worker pool compares this counter to retire
+    workers that could serve a replaced or removed workload.
+    """
+    return _GENERATION
 
 
 def register(cls):
@@ -169,8 +180,7 @@ def register_workload(instance, replace=False):
             f"workload {name!r} is already registered; unregister it or "
             f"pass replace=True to overwrite")
     _INSTANCES[name] = instance
-    _TRACE_CACHE.pop(name, None)
-    _DDG_CACHE.pop(name, None)
+    _forget(name)
     return instance
 
 
@@ -181,6 +191,13 @@ def unregister_workload(name):
     if name not in _INSTANCES:
         raise WorkloadError(f"workload {name!r} is not registered")
     del _INSTANCES[name]
+    _forget(name)
+
+
+def _forget(name):
+    """Drop cached state for a (re)registered name; bump the generation."""
+    global _GENERATION
+    _GENERATION += 1
     _TRACE_CACHE.pop(name, None)
     _DDG_CACHE.pop(name, None)
 

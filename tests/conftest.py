@@ -2,8 +2,21 @@
 
 import pytest
 
+from repro.core import sweeppool
 from repro.sim.kernel import Simulator
 from repro.sim.clock import ClockDomain
+
+
+@pytest.fixture(autouse=True)
+def _cold_sweep_pool():
+    """Drain the warm sweep-worker set after every test.
+
+    Warm workers carry the state of the test that started them (a forked
+    copy of its monkeypatches, a stubbed ``sweeppool._start_worker``), so
+    each test starts from an empty set and spawns what it needs.
+    """
+    yield
+    sweeppool.shutdown_pool()
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from repro.core.executors import (
     ExecutionPlan,
     InlineExecutor,
     LocalPoolExecutor,
-    RemoteExecutor,
     resolve_executor,
 )
 from repro.core.export import results_to_json
@@ -177,39 +176,6 @@ class TestLocalPoolExecutor:
         plan.pending = []
         assert LocalPoolExecutor(jobs=2).execute(plan) == []
         assert finished == {}
-
-
-class TestRemoteExecutor:
-    def test_stub_refuses_without_transport(self):
-        plan, _finished, _failed = _collecting_plan(quick_designs(1))
-        with pytest.raises(NotImplementedError, match="transport"):
-            RemoteExecutor().execute(plan)
-
-    def test_transport_callable_evaluates(self):
-        designs = quick_designs(2)
-        shipped = []
-
-        def transport(workload, design, cfg):
-            shipped.append(design)
-            return run_design(workload, design, cfg)
-
-        plan, finished, _failed = _collecting_plan(designs)
-        RemoteExecutor(transport=transport).execute(plan)
-        assert shipped == designs
-        expected = [run_design(WORKLOAD, d) for d in designs]
-        got = [finished[i] for i in range(len(designs))]
-        assert results_to_json(got) == results_to_json(expected)
-
-    def test_transport_failures_use_plan_semantics(self):
-        designs = quick_designs(1)
-
-        def transport(workload, design, cfg):
-            raise ConnectionError("far end down")
-
-        plan, _finished, failed = _collecting_plan(designs, robust=True)
-        RemoteExecutor(transport=transport).execute(plan)
-        assert failed[0][0] == "error"
-        assert "far end down" in failed[0][1]
 
 
 class TestResolveExecutor:
