@@ -154,7 +154,7 @@ def test_ablation_loop_pipelining(benchmark):
             out[workload] = {
                 "barriers": run_design(workload, base),
                 "pipelined": run_design(
-                    workload, base.replace(loop_pipelining=True)),
+                    workload, base.replace(pipelining="off")),
             }
         return out
 

@@ -59,7 +59,7 @@ class Accelerator:
 
     def __init__(self, trace, lanes, partitions, ports_per_partition=1,
                  clock_mhz=ACCEL_CLOCK_MHZ, fu_per_lane=None,
-                 round_barriers=True, pipelining=None, ii="auto"):
+                 pipelining="barriers", ii="auto"):
         self.trace = trace
         self.ddg = DDDG(trace)
         self.lanes = lanes
@@ -67,10 +67,6 @@ class Accelerator:
         self.ports_per_partition = ports_per_partition
         self.clock = ClockDomain(clock_mhz)
         self.fu_per_lane = fu_per_lane
-        # ``pipelining`` supersedes the legacy ``round_barriers`` boolean
-        # (None = derive: True -> "barriers", False -> "off").
-        if pipelining is None:
-            pipelining = "barriers" if round_barriers else "off"
         self.pipelining = pipelining
         self.round_barriers = pipelining == "barriers"
         self.ii = ii

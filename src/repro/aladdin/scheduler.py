@@ -33,7 +33,7 @@ class DatapathScheduler:
 
     def __init__(self, sim, clock, ddg, assignment, mem_if,
                  fu_per_lane=None, on_done=None, name="accel",
-                 round_barriers=True, pipelining=None, ii=0,
+                 pipelining="barriers", ii=0,
                  rec_mii=0, res_mii=0):
         self.sim = sim
         self.clock = clock
@@ -55,11 +55,7 @@ class DatapathScheduler:
         #                case: an II at or above the dynamic round duration
         #                reproduces barrier timing instead of throttling
         #                below it, so the gate can only add overlap.
-        # ``round_barriers`` remains as the legacy boolean spelling of the
-        # first two and is honored when ``pipelining`` is not given.
-        if pipelining is None:
-            pipelining = "barriers" if round_barriers else "off"
-        elif pipelining not in ("off", "barriers", "modulo"):
+        if pipelining not in ("off", "barriers", "modulo"):
             raise SimulationError(
                 f"{name}: unknown pipelining mode {pipelining!r}")
         self.pipelining = pipelining

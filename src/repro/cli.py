@@ -705,8 +705,8 @@ def cmd_sweep(args, out):
         import os
         dump_dma = os.path.join(args.dump_stats, "dma")
         dump_cache = os.path.join(args.dump_stats, "cache")
-    # An *explicit* --check builds one accumulating checker and forces the
-    # serial engine (its counters live in this process).  Env-only checking
+    # An *explicit* --check builds one accumulating checker and runs the
+    # sweep inline (its counters live in this process).  Env-only checking
     # ($REPRO_CHECK) stays on the parallel/cached path: check=None defers
     # resolution to each run_design call, and worker processes inherit the
     # variable.
@@ -719,7 +719,7 @@ def cmd_sweep(args, out):
                              "tier runs no events to profile, dump or "
                              "check")
         parallel, cache_dir = None, None
-        # The forced-serial engine fills metrics too, but cannot resume
+        # The in-process diagnostic sweep fills metrics too, but cannot resume
         # (no cache) or enforce a per-point timeout (no workers).
         robust["resume"] = False
         robust["timeout"] = None

@@ -60,8 +60,9 @@ from repro.units import (
 )
 from repro.workloads import cached_trace
 
-#: Bump when fit features or the persisted schema change.
-CALIBRATION_VERSION = 3
+#: Bump when fit features or the persisted schema change.  v4: class
+#: names and compute-table keys always carry the pipelining mode.
+CALIBRATION_VERSION = 4
 
 #: Subdirectory of the sweep cache root holding calibration files.
 CALIBRATION_DIR = "calibrations"
@@ -110,16 +111,13 @@ def design_class(design):
     bfs-bulk: pooled 0.19, split 0.08).
     """
     # The pipelining mode changes the compute-phase shape wholesale
-    # (barrier-synchronized vs II-overlapped rounds), so non-default
-    # modes get their own buckets.  Barrier-mode class names keep the
-    # historic spelling so existing calibrations map over unchanged.
-    suffix = "" if design.pipelining == "barriers" \
-        else f":{design.pipelining}"
+    # (barrier-synchronized vs II-overlapped rounds), so each mode gets
+    # its own buckets.
     if design.is_dma:
         return (f"dma:p{int(design.pipelined_dma)}"
                 f"t{int(design.dma_triggered_compute)}"
-                f"b{int(design.double_buffer)}{suffix}")
-    return f"cache:l{design.cache_line}{suffix}"
+                f"b{int(design.double_buffer)}:{design.pipelining}")
+    return f"cache:l{design.cache_line}:{design.pipelining}"
 
 
 # -- workload profiles (trace-derived, design-independent) --------------------
@@ -284,38 +282,25 @@ def _cache_counts(workload, design):
                                      prefetcher=design.prefetcher))
 
 
-def _combo_key(lanes, partitions, spad_ports,
-               pipelining="barriers", ii="auto"):
-    # Barrier-mode keys keep the historic "LxPxS" spelling so persisted
-    # calibrations stay readable; other modes append ":mode:ii".
-    key = f"{lanes}x{partitions}x{spad_ports}"
-    if pipelining != "barriers":
-        key += f":{pipelining}:{ii}"
-    return key
-
-
-def _norm_combo(combo):
-    """Normalize a combo to (lanes, partitions, ports, pipelining, ii)."""
-    combo = tuple(combo)
-    if len(combo) == 3:
-        combo += ("barriers", "auto")
-    return combo
+def _combo_key(lanes, partitions, spad_ports, pipelining, ii):
+    """Compute-table key, e.g. ``"4x4x1:barriers:auto"``."""
+    return f"{lanes}x{partitions}x{spad_ports}:{pipelining}:{ii}"
 
 
 def tabulate_compute(workload, combos, progress=None):
     """Isolated-run table over the distinct datapath combinations.
 
-    A combination is (lanes, partitions, spad_ports) — optionally
-    extended with (pipelining, ii) for non-barrier designs.  The fast
-    tier's compute phase is a lookup into this table — an isolated run
-    costs a sizable fraction of an exact co-simulation, so paying it
-    once per combination at calibration time (instead of per design
-    point per sweep) is what makes fast predictions cheap.
+    A combination is (lanes, partitions, spad_ports, pipelining, ii),
+    ``ii`` spelled as a string.  The fast tier's compute phase is a
+    lookup into this table — an isolated run costs a sizable fraction
+    of an exact co-simulation, so paying it once per combination at
+    calibration time (instead of per design point per sweep) is what
+    makes fast predictions cheap.
     """
     trace = cached_trace(workload)
     hist = trace.op_histogram()
     table = {}
-    combos = sorted({_norm_combo(c) for c in combos})
+    combos = sorted(set(combos))
     for i, combo in enumerate(combos):
         lanes, partitions, spad_ports, pipelining, ii = combo
         ii_val = ii if ii == "auto" else int(ii)
@@ -646,11 +631,12 @@ class Calibration:
             rows, targets = [], {"ticks": [], "spad_dynamic_pj": [],
                                  "spad_leak_mw": [], "area_mm2": []}
             for key, entry in self.compute_table.items():
-                if ":" in key:
+                shape, mode, _ii = key.split(":")
+                if mode != "barriers":
                     # Non-barrier entries have their own compute shape;
                     # pooling them would corrupt the hyperbolic fit.
                     continue
-                lanes, parts, _ports = (int(v) for v in key.split("x"))
+                lanes, parts, _ports = (int(v) for v in shape.split("x"))
                 rows.append([1.0, 1.0 / lanes, 1.0 / parts,
                              1.0 / (lanes * parts)])
                 for field in targets:

@@ -7,6 +7,8 @@ DMA optimizations); a :class:`SoCConfig` holds platform-wide parameters
 values against the swept ranges the paper reports.
 """
 
+import operator
+
 from repro.errors import ConfigError
 
 # Figure 3's table, verbatim: the design space swept in this work.
@@ -30,18 +32,32 @@ PARAMETER_TABLE = {
 }
 
 
+def _integer(name, value):
+    """``value`` as an ``int``: integral floats (``4.0``) collapse, while
+    bools, fractions and non-numbers raise :class:`ConfigError`."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 class DesignPoint:
     """One accelerator microarchitecture configuration."""
 
     def __init__(self, lanes=4, partitions=4, mem_interface="dma",
                  pipelined_dma=True, dma_triggered_compute=True,
-                 double_buffer=False, loop_pipelining=False,
-                 cache_size_kb=8, cache_line=64,
+                 double_buffer=False, cache_size_kb=8, cache_line=64,
                  cache_ports=2, cache_assoc=4, prefetcher="stride",
                  spad_ports=1, perfect_memory=False,
-                 pipelining=None, ii="auto"):
-        self.lanes = lanes
-        self.partitions = partitions
+                 pipelining="barriers", ii="auto"):
+        self.lanes = _integer("lanes", lanes)
+        self.partitions = _integer("partitions", partitions)
         self.mem_interface = mem_interface
         self.pipelined_dma = pipelined_dma
         self.dma_triggered_compute = dma_triggered_compute
@@ -56,21 +72,16 @@ class DesignPoint:
         #                interval (see repro.aladdin.modulo); ``ii`` is
         #                "auto" (search for the minimal feasible II) or a
         #                forced cycle count.
-        # ``loop_pipelining`` is the legacy boolean spelling (True ->
-        # "off"); it is honored when ``pipelining`` is not given and
-        # remains readable as a property.
-        if pipelining is None:
-            pipelining = "off" if loop_pipelining else "barriers"
         self.pipelining = pipelining
         # ``ii`` only means something under modulo; canonicalize it away
         # otherwise so design keys/caches never split on a dead knob.
         self.ii = ii if pipelining == "modulo" else "auto"
-        self.cache_size_kb = cache_size_kb
-        self.cache_line = cache_line
-        self.cache_ports = cache_ports
-        self.cache_assoc = cache_assoc
+        self.cache_size_kb = _integer("cache_size_kb", cache_size_kb)
+        self.cache_line = _integer("cache_line", cache_line)
+        self.cache_ports = _integer("cache_ports", cache_ports)
+        self.cache_assoc = _integer("cache_assoc", cache_assoc)
         self.prefetcher = prefetcher
-        self.spad_ports = spad_ports
+        self.spad_ports = _integer("spad_ports", spad_ports)
         # Burger-decomposition idealization (Figure 7 "processing time").
         self.perfect_memory = perfect_memory
         self.validate()
@@ -105,12 +116,6 @@ class DesignPoint:
     def is_dma(self):
         return self.mem_interface == "dma"
 
-    @property
-    def loop_pipelining(self):
-        """Legacy boolean view of the pipelining mode (True = free
-        overlap, what ``pipelining="off"`` now spells)."""
-        return self.pipelining == "off"
-
     def replace(self, **kwargs):
         """A copy with some fields changed."""
         fields = dict(
@@ -125,32 +130,18 @@ class DesignPoint:
             prefetcher=self.prefetcher, spad_ports=self.spad_ports,
             perfect_memory=self.perfect_memory,
         )
-        if "loop_pipelining" in kwargs and "pipelining" not in kwargs:
-            # Legacy spelling: let the constructor re-derive the mode
-            # from the boolean instead of the copied field shadowing it.
-            fields["pipelining"] = None
         fields.update(kwargs)
         return DesignPoint(**fields)
-
-    def _pipelining_key(self):
-        """The pipelining element of :meth:`key`.
-
-        Off/barriers keep the legacy boolean so existing keys stay
-        stable; modulo designs get a distinct ``("modulo", ii)`` marker.
-        """
-        if self.pipelining == "modulo":
-            return ("modulo", self.ii)
-        return self.loop_pipelining
 
     def key(self):
         """Hashable identity (used by sweeps and caches)."""
         if self.is_dma:
             return ("dma", self.lanes, self.partitions, self.pipelined_dma,
                     self.dma_triggered_compute, self.double_buffer,
-                    self._pipelining_key(), self.spad_ports)
+                    (self.pipelining, self.ii), self.spad_ports)
         return ("cache", self.lanes, self.partitions, self.cache_size_kb,
                 self.cache_line, self.cache_ports, self.cache_assoc,
-                self.prefetcher, self._pipelining_key(),
+                self.prefetcher, (self.pipelining, self.ii),
                 self.perfect_memory)
 
     def __repr__(self):

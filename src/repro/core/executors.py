@@ -6,7 +6,10 @@ question of *where* each pending point executes is delegated to an
 :class:`Executor`:
 
 * :class:`InlineExecutor` — serial, in-process.  The reference engine:
-  every other executor must be bit-identical to it.
+  every other executor must be bit-identical to it.  An ``evaluate=``
+  override swaps its task runner; profiled, stats-dumping and checked
+  sweeps use one to bind their in-process accumulators (see
+  :func:`repro.core.sweep.run_sweep`).
 * :class:`LocalPoolExecutor` — warm worker processes on this machine:
   the pipe-per-worker pool (retries, per-point timeouts, dead-worker
   recovery) whose workers persist between sweeps.
@@ -41,20 +44,15 @@ class ExecutionPlan:
     (they update results/cache/manifest/metrics and raise under
     ``on_error="raise"``).  ``robust`` selects capture-and-retry
     semantics; without it the first evaluation error propagates raw.
-
-    ``evaluate`` optionally overrides the task runner for in-process
-    executors (signature of ``sweeppool._evaluate_task``); process-pool
-    executors reject it because a closure cannot cross a spawn boundary.
     """
 
     __slots__ = ("workload", "designs", "cfg", "pending", "faults",
                  "retries", "retry_backoff", "timeout", "robust",
-                 "metrics", "finish", "fail", "evaluate")
+                 "metrics", "finish", "fail")
 
     def __init__(self, workload, designs, cfg=None, pending=None,
                  faults=None, retries=0, retry_backoff=0.0, timeout=None,
-                 robust=False, metrics=None, finish=None, fail=None,
-                 evaluate=None):
+                 robust=False, metrics=None, finish=None, fail=None):
         if metrics is None:
             from repro.core.sweeppool import SweepMetrics
             metrics = SweepMetrics()
@@ -71,7 +69,6 @@ class ExecutionPlan:
         self.metrics = metrics
         self.finish = finish if finish is not None else lambda *a: None
         self.fail = fail if fail is not None else lambda *a: None
-        self.evaluate = evaluate
 
     def task(self, index, attempt):
         """The picklable task tuple for one pending point."""
@@ -101,9 +98,6 @@ class Executor:
         """
         raise NotImplementedError
 
-    def close(self):
-        """Release any long-lived resources (pools, connections)."""
-
     def __repr__(self):
         return f"<{type(self).__name__} kind={self.kind!r}>"
 
@@ -114,9 +108,16 @@ class InlineExecutor(Executor):
     Honours ``retries``/``on_error`` but cannot enforce a per-point
     wall-clock ``timeout`` (there is no worker process to kill); a robust
     plan that asks for one gets a RuntimeWarning and runs unbounded.
+
+    ``evaluate`` overrides the task runner (the signature of
+    ``sweeppool._evaluate_task``: a task tuple in, ``(index, result,
+    elapsed)`` out); the default is looked up at call time.
     """
 
     kind = "inline"
+
+    def __init__(self, evaluate=None):
+        self.evaluate = evaluate
 
     def execute(self, plan):
         from repro.core import sweeppool
@@ -125,7 +126,7 @@ class InlineExecutor(Executor):
                 "per-point sweep timeout needs worker processes; "
                 "evaluating inline without timeout enforcement",
                 RuntimeWarning, stacklevel=2)
-        evaluate = plan.evaluate or sweeppool._evaluate_task
+        evaluate = self.evaluate or sweeppool._evaluate_task
         for index, first_attempt in plan.pending:
             attempt = first_attempt
             while True:
@@ -177,11 +178,6 @@ class LocalPoolExecutor(Executor):
         from multiprocessing import get_context
 
         from repro.core import sweeppool
-        if plan.evaluate is not None:
-            raise ValueError(
-                "LocalPoolExecutor evaluates through the module-level "
-                "task runner; a custom evaluate callable cannot cross "
-                "the process boundary — use InlineExecutor")
         if not plan.pending:
             return []
         return sweeppool._run_pool(get_context(self.mp_context),

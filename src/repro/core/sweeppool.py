@@ -90,7 +90,11 @@ from repro.errors import SweepError
 #: Bump when the simulator's timing/energy models change in ways that make
 #: previously cached RunResults stale.  v2: canonicalized key payloads
 #: (numeric normalization + interface-irrelevant field masking).
-#: v3: ``loop_pipelining`` replaced by the ``pipelining``/``ii`` fields.
+#: v3: the boolean loop-pipelining flag replaced by the
+#: ``pipelining``/``ii`` fields.  Dropping the boolean's constructor
+#: spelling later needed no bump: keys hash ``DesignPoint.__dict__``,
+#: which has held only ``pipelining`` and ``ii`` since v3, so warm result
+#: stores stay valid.
 CACHE_FORMAT_VERSION = 3
 
 #: Conventional cache location (the CLI default; gitignored).
@@ -724,13 +728,17 @@ class SweepManifest:
 
 # -- execution ----------------------------------------------------------------
 
-def _evaluate_task(task):
-    """Pool worker: evaluate one design point (module-level => spawn-safe)."""
+def _evaluate_task(task, **run_options):
+    """Evaluate one design point (module-level => spawn-safe).
+
+    ``run_options`` (``profiler``/``registry``/``check``) pass through to
+    :func:`~repro.core.soc.run_design`; only in-process callers set them.
+    """
     index, workload, design, cfg, attempt, faults = task
     if faults:
         inject_fault(faults, index, attempt)
     start = time.perf_counter()
-    result = run_design(workload, design, cfg)
+    result = run_design(workload, design, cfg, **run_options)
     return index, result, time.perf_counter() - start
 
 

@@ -22,8 +22,8 @@ Endpoints (all bodies JSON):
   "fidelity": ...}`` → evaluate (hit/join/dispatch) and return the
   result records plus the provenance report.
 
-Malformed bodies, unknown design fields and unknown workloads are 400s
-with a JSON ``{"error": ...}`` body; simulation failures of individual
+Malformed bodies, unknown or out-of-range design fields and unknown
+workloads are 400s with a JSON ``{"error": ...}`` body; simulation failures of individual
 points are *not* errors — they come back as failure records inside a
 200 response (the service collects them).
 """
@@ -32,15 +32,17 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.config import DesignPoint
-from repro.errors import CalibrationError, FrontendError, WorkloadError
+from repro.errors import (
+    CalibrationError,
+    ConfigError,
+    FrontendError,
+    WorkloadError,
+)
 from repro.workloads.registry import workload_names, workload_source
 
 #: The exact DesignPoint constructor surface, derived from the class so
-#: the whitelist can never drift from it.  ``loop_pipelining`` is a
-#: property now (legacy boolean spelling of ``pipelining``) so it no
-#: longer appears in the instance dict, but the constructor still
-#: accepts it — keep accepting it from clients too.
-DESIGN_FIELDS = frozenset(DesignPoint().__dict__) | {"loop_pipelining"}
+#: the whitelist can never drift from it.
+DESIGN_FIELDS = frozenset(DesignPoint().__dict__)
 
 
 def design_from_json(doc):
@@ -163,7 +165,7 @@ class _Handler(BaseHTTPRequestHandler):
                 response = {"workload": workload, "results": records,
                             "service": report}
         except (ValueError, KeyError, TypeError, CalibrationError,
-                FrontendError, WorkloadError) as exc:
+                ConfigError, FrontendError, WorkloadError) as exc:
             self._error(400, str(exc))
             return
         except Exception as exc:  # noqa: BLE001 — the server must answer

@@ -264,5 +264,5 @@ class TestDesignClass:
 
     def test_cache_classes_split_by_line(self):
         base = DesignPoint(lanes=2, partitions=2, mem_interface="cache")
-        assert design_class(base.replace(cache_line=16)) == "cache:l16"
-        assert design_class(base.replace(cache_line=64)) == "cache:l64"
+        assert design_class(base.replace(cache_line=16)) == "cache:l16:barriers"
+        assert design_class(base.replace(cache_line=64)) == "cache:l64:barriers"

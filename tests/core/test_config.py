@@ -83,6 +83,37 @@ class TestDesignPoint:
         assert "cache" in repr(DesignPoint(mem_interface="cache"))
 
 
+INTEGER_FIELDS = ("lanes", "partitions", "cache_size_kb", "cache_line",
+                  "cache_ports", "cache_assoc", "spad_ports")
+
+
+class TestIntegerFields:
+    """Integral floats collapse to ints, so ``4.0`` means exactly ``4``
+    everywhere, not only in the result-store key that already treats
+    them as equal."""
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integral_float_becomes_int(self, field):
+        value = getattr(DesignPoint(), field)
+        d = DesignPoint(**{field: float(value)})
+        assert getattr(d, field) == value
+        assert type(getattr(d, field)) is int
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    @pytest.mark.parametrize("bad", [2.5, True, "4", None])
+    def test_non_integers_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            DesignPoint(**{field: bad})
+
+    def test_float_lanes_run_like_int_lanes(self):
+        from repro.core.export import results_to_json
+        from repro.core.soc import run_design
+        floats = run_design("aes-aes", DesignPoint(lanes=4.0,
+                                                   partitions=4.0))
+        ints = run_design("aes-aes", DesignPoint(lanes=4, partitions=4))
+        assert results_to_json([floats]) == results_to_json([ints])
+
+
 class TestSoCConfig:
     def test_defaults(self):
         cfg = SoCConfig()

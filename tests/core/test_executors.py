@@ -70,9 +70,8 @@ class TestInlineExecutor:
             calls.append(index)
             return index, f"result-{index}", 0.0
 
-        plan, finished, _failed = _collecting_plan(designs,
-                                                   evaluate=evaluate)
-        InlineExecutor().execute(plan)
+        plan, finished, _failed = _collecting_plan(designs)
+        InlineExecutor(evaluate=evaluate).execute(plan)
         assert calls == [0, 1]
         assert finished == {0: "result-0", 1: "result-1"}
 
@@ -82,10 +81,9 @@ class TestInlineExecutor:
         def evaluate(task):
             raise RuntimeError("boom")
 
-        plan, _finished, failed = _collecting_plan(designs,
-                                                   evaluate=evaluate)
+        plan, _finished, failed = _collecting_plan(designs)
         with pytest.raises(RuntimeError, match="boom"):
-            InlineExecutor().execute(plan)
+            InlineExecutor(evaluate=evaluate).execute(plan)
         assert not failed
 
     def test_robust_error_goes_through_fail(self):
@@ -94,9 +92,8 @@ class TestInlineExecutor:
         def evaluate(task):
             raise RuntimeError("boom")
 
-        plan, _finished, failed = _collecting_plan(
-            designs, robust=True, evaluate=evaluate)
-        InlineExecutor().execute(plan)
+        plan, _finished, failed = _collecting_plan(designs, robust=True)
+        InlineExecutor(evaluate=evaluate).execute(plan)
         assert failed[0][0] == "error"
         assert "boom" in failed[0][1]
 
@@ -112,9 +109,8 @@ class TestInlineExecutor:
 
         metrics = SweepMetrics()
         plan, finished, failed = _collecting_plan(
-            designs, robust=True, retries=2, metrics=metrics,
-            evaluate=evaluate)
-        InlineExecutor().execute(plan)
+            designs, robust=True, retries=2, metrics=metrics)
+        InlineExecutor(evaluate=evaluate).execute(plan)
         assert attempts == [1, 2, 3]
         assert finished == {0: "ok"}
         assert not failed
@@ -136,10 +132,9 @@ class TestInlineExecutor:
             seen.append(task[4])
             return task[0], "ok", 0.0
 
-        plan, _finished, _failed = _collecting_plan(designs,
-                                                    evaluate=evaluate)
+        plan, _finished, _failed = _collecting_plan(designs)
         plan.pending = [(0, 5)]  # e.g. handed back by a collapsed pool
-        InlineExecutor().execute(plan)
+        InlineExecutor(evaluate=evaluate).execute(plan)
         assert seen == [5]
 
 
@@ -151,12 +146,6 @@ class TestLocalPoolExecutor:
         serial = run_sweep(WORKLOAD, designs)
         got = [finished[i] for i in range(len(designs))]
         assert results_to_json(got) == results_to_json(serial)
-
-    def test_rejects_custom_evaluate(self):
-        plan, _finished, _failed = _collecting_plan(
-            quick_designs(1), evaluate=lambda task: (0, None, 0.0))
-        with pytest.raises(ValueError, match="cannot cross"):
-            LocalPoolExecutor(jobs=2).execute(plan)
 
     def test_effective_jobs_clamped_by_pending(self):
         pool = LocalPoolExecutor(jobs=8)
@@ -240,6 +229,29 @@ class TestSweepIntegration:
         assert calls == [3]
         assert frontier and best in results
 
+    def test_diagnostic_sweep_runs_on_inline_evaluate_override(
+            self, monkeypatch, tmp_path):
+        from repro.sim.profiling import EventProfiler
+        seen = []
+        real_execute = InlineExecutor.execute
+
+        def spy(self, plan):
+            seen.append(self.evaluate is not None)
+            return real_execute(self, plan)
+
+        monkeypatch.setattr(InlineExecutor, "execute", spy)
+        profiler = EventProfiler()
+        results = run_sweep(WORKLOAD, quick_designs(2), profiler=profiler,
+                            dump_stats=str(tmp_path))
+        assert seen == [True]
+        assert len(results) == 2
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_plan_has_no_evaluate_slot(self):
+        with pytest.raises(TypeError):
+            ExecutionPlan(WORKLOAD, quick_designs(1),
+                          evaluate=lambda task: task)
+
     def test_diagnostic_paths_reject_executor(self):
         from repro.sim.profiling import EventProfiler
         with pytest.raises(ValueError, match="executor"):
@@ -247,8 +259,7 @@ class TestSweepIntegration:
                       profiler=EventProfiler(), executor=InlineExecutor())
 
     def test_plain_run_sweep_uses_resolved_executor(self):
-        # No knobs at all must still route through the executor seam and
-        # stay bit-identical to the historical serial engine.
+        # No knobs at all must still route through the executor seam.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = run_sweep(WORKLOAD, quick_designs(2))

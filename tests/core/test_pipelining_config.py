@@ -1,15 +1,14 @@
 """Pipelining-mode plumbing through DesignPoint, sweeps, and services.
 
-The ``round_barriers`` boolean became a three-way ``pipelining`` mode
-plus an ``ii`` knob; everything here guards the seams of that migration:
-legacy spellings keep meaning what they meant, cache keys stay stable
-for non-modulo designs, and the new fields survive every layer that
-copies or serializes a design.
+The datapath's loop-pipelining discipline is one three-way
+``pipelining`` mode plus an ``ii`` knob, with no other spelling; these
+tests guard that contract at every layer that copies, keys or
+serializes a design.
 """
 
 import pytest
 
-from repro.core.calibrate import _combo_key, _norm_combo, design_class
+from repro.core.calibrate import _combo_key, design_class
 from repro.core.config import DesignPoint
 from repro.core.export import CSV_FIELDS, design_record
 from repro.core.sweep import ii_design_space
@@ -21,17 +20,19 @@ class TestDesignPointFields:
         d = DesignPoint()
         assert d.pipelining == "barriers"
         assert d.ii == "auto"
-        assert d.loop_pipelining is False
 
-    def test_legacy_boolean_maps_to_modes(self):
-        assert DesignPoint(loop_pipelining=True).pipelining == "off"
-        assert DesignPoint(loop_pipelining=False).pipelining == "barriers"
+    def test_legacy_boolean_spelling_is_gone(self):
+        with pytest.raises(TypeError):
+            DesignPoint(loop_pipelining=True)
+        with pytest.raises(TypeError):
+            DesignPoint().replace(loop_pipelining=True)
+        assert not hasattr(DesignPoint(), "loop_pipelining")
 
-    def test_loop_pipelining_is_a_property(self):
-        # Serialization layers iterate __dict__; the legacy boolean must
-        # not appear there (it would shadow the real mode on round-trip).
-        assert "loop_pipelining" not in DesignPoint().__dict__
-        assert DesignPoint(pipelining="off").loop_pipelining is True
+    def test_accelerator_takes_no_round_barriers(self):
+        from repro.aladdin.accelerator import Accelerator
+        from tests.conftest import make_linear_trace
+        with pytest.raises(TypeError):
+            Accelerator(make_linear_trace(4), 1, 1, round_barriers=False)
 
     def test_ii_canonicalized_for_non_modulo(self):
         # An II on a non-modulo design is meaningless: canonicalize so
@@ -50,32 +51,27 @@ class TestDesignPointFields:
                 DesignPoint(pipelining="modulo", ii=bad)
 
 
-class TestKeyStability:
-    def test_legacy_and_new_spellings_share_a_key(self):
-        assert DesignPoint(loop_pipelining=True).key() == \
-            DesignPoint(pipelining="off").key()
-        assert DesignPoint(loop_pipelining=False).key() == \
-            DesignPoint(pipelining="barriers").key()
+class TestKeys:
+    def test_key_embeds_mode_and_ii(self):
+        assert ("barriers", "auto") in DesignPoint().key()
+        assert ("off", "auto") in DesignPoint(pipelining="off").key()
+        assert ("modulo", 4) in \
+            DesignPoint(pipelining="modulo", ii=4).key()
+        cache = DesignPoint(mem_interface="cache", pipelining="off")
+        assert ("off", "auto") in cache.key()
 
-    def test_modulo_key_embeds_ii(self):
-        auto = DesignPoint(pipelining="modulo").key()
-        forced = DesignPoint(pipelining="modulo", ii=4).key()
-        assert auto != forced
-        assert ("modulo", 4) in forced
-
-    def test_barrier_key_unchanged_by_migration(self):
-        # Pre-migration caches keyed barriers as the boolean False; the
-        # sweep-pool version bump invalidates them, but the in-process
-        # key must stay a plain scalar for non-modulo designs.
-        key = DesignPoint().key()
-        assert ("modulo",) not in key
-        assert not any(isinstance(part, tuple) for part in key[1:])
+    def test_every_mode_and_ii_keys_distinctly(self):
+        designs = [DesignPoint(pipelining="barriers"),
+                   DesignPoint(pipelining="off"),
+                   DesignPoint(pipelining="modulo"),
+                   DesignPoint(pipelining="modulo", ii=4)]
+        assert len({d.key() for d in designs}) == len(designs)
 
 
 class TestReplace:
-    def test_replace_legacy_boolean(self):
+    def test_replace_mode_drops_stale_ii(self):
         d = DesignPoint(pipelining="modulo", ii=2)
-        back = d.replace(loop_pipelining=True)
+        back = d.replace(pipelining="off")
         assert back.pipelining == "off"
         assert back.ii == "auto"
 
@@ -114,42 +110,35 @@ class TestExportFields:
     def test_csv_fields_include_modes(self):
         assert "pipelining" in CSV_FIELDS
         assert "ii" in CSV_FIELDS
+        assert "loop_pipelining" not in CSV_FIELDS
 
     def test_design_record_round_trips_modes(self):
         rec = design_record(DesignPoint(pipelining="modulo", ii=4))
         assert rec["pipelining"] == "modulo"
         assert rec["ii"] == 4
-        assert rec["loop_pipelining"] is False
+        assert "loop_pipelining" not in rec
 
 
 class TestCalibrationClasses:
-    def test_barrier_class_names_keep_historic_spelling(self):
-        # Calibration profiles persist to disk: barrier-mode designs must
-        # keep their pre-migration class names.
-        assert design_class(DesignPoint()) == "dma:p1t1b0"
+    def test_class_names_carry_the_mode(self):
+        assert design_class(DesignPoint()) == "dma:p1t1b0:barriers"
+        assert design_class(DesignPoint(pipelining="off")) == \
+            "dma:p1t1b0:off"
+        assert design_class(DesignPoint(mem_interface="cache",
+                                        pipelining="modulo")) == \
+            "cache:l64:modulo"
 
-    def test_non_barrier_classes_get_suffixed(self):
-        assert design_class(
-            DesignPoint(pipelining="modulo")).endswith(":modulo")
-        assert design_class(
-            DesignPoint(pipelining="off")).endswith(":off")
-
-    def test_combo_key_formats(self):
-        assert _combo_key(2, 2, 2) == "2x2x2"
+    def test_combo_keys_carry_the_mode(self):
+        assert _combo_key(4, 4, 1, "barriers", "auto") == \
+            "4x4x1:barriers:auto"
         assert _combo_key(2, 2, 2, "modulo", "4") == "2x2x2:modulo:4"
-        assert _combo_key(2, 2, 2, "barriers", "auto") == "2x2x2"
-
-    def test_norm_combo_pads_legacy_tuples(self):
-        assert _norm_combo((2, 2, 2)) == (2, 2, 2, "barriers", "auto")
-        full = (2, 2, 2, "modulo", "4")
-        assert _norm_combo(full) == full
 
 
 class TestServeAndCli:
-    def test_httpd_accepts_both_spellings(self):
+    def test_httpd_rejects_legacy_spelling(self):
         from repro.serve.httpd import design_from_json
-        legacy = design_from_json({"lanes": 2, "loop_pipelining": True})
-        assert legacy.pipelining == "off"
+        with pytest.raises(ValueError, match="unknown design field"):
+            design_from_json({"lanes": 2, "loop_pipelining": True})
         modern = design_from_json(
             {"lanes": 2, "pipelining": "modulo", "ii": 4})
         assert (modern.pipelining, modern.ii) == ("modulo", 4)

@@ -316,10 +316,11 @@ class TestFaultFreeParity:
         assert metrics.evaluated == 3
 
 
-class TestSerialEngineRobustness:
-    """The profiler/stats/check-forced serial engine shares the layer."""
+class TestDiagnosticSweepRobustness:
+    """Profiled, stats-dumping and checked sweeps run on InlineExecutor
+    with an evaluate override, so they share the robust layer."""
 
-    def test_serial_path_fills_metrics(self):
+    def test_diagnostic_sweep_fills_metrics(self):
         from repro.sim.profiling import EventProfiler
         metrics = SweepMetrics()
         results = run_sweep(WORKLOAD, quick_designs(2), metrics=metrics,
@@ -330,7 +331,7 @@ class TestSerialEngineRobustness:
         assert metrics.wall_seconds > 0
         assert len(metrics.point_seconds) == 2
 
-    def test_serial_path_collects_faults(self):
+    def test_diagnostic_sweep_collects_faults(self):
         from repro.sim.profiling import EventProfiler
         metrics = SweepMetrics()
         results = run_sweep(WORKLOAD, quick_designs(2), metrics=metrics,
@@ -339,7 +340,7 @@ class TestSerialEngineRobustness:
         assert isinstance(results[0], FailedPoint)
         assert metrics.failures == 1 and metrics.evaluated == 1
 
-    def test_serial_path_retries(self):
+    def test_diagnostic_sweep_retries(self):
         from repro.sim.profiling import EventProfiler
         metrics = SweepMetrics()
         results = run_sweep(WORKLOAD, quick_designs(2), metrics=metrics,
@@ -348,6 +349,64 @@ class TestSerialEngineRobustness:
         ok, failed = partition_results(results)
         assert len(ok) == 2 and not failed
         assert metrics.retries == 1
+
+    def test_diagnostic_results_match_plain_and_pooled(self, tmp_path):
+        from repro.check import Checker
+        from repro.core.sweep import cache_design_space
+        from repro.sim.profiling import EventProfiler
+        designs = dma_design_space("quick") + cache_design_space("quick")
+        plain = results_to_json(run_sweep(WORKLOAD, designs))
+        pooled = results_to_json(run_sweep_pool(
+            WORKLOAD, designs, jobs=2, mp_context="fork"))
+        diagnostic = results_to_json(run_sweep(
+            WORKLOAD, designs, profiler=EventProfiler(), check=Checker(),
+            dump_stats=str(tmp_path)))
+        assert plain == pooled == diagnostic
+        assert len(list(tmp_path.iterdir())) == len(designs)
+
+
+def _dump(directory, index=0):
+    with open(os.path.join(directory, f"{WORKLOAD}-{index:04d}.json")) as f:
+        return json.load(f)
+
+
+class TestDumpStatsRetry:
+    """A retried point dumps the stats of its successful attempt only."""
+
+    def test_retry_after_registration_succeeds(self, tmp_path,
+                                               monkeypatch):
+        from repro.core.soc import SoC
+        designs = quick_designs(1)
+        clean = str(tmp_path / "clean")
+        run_sweep(WORKLOAD, designs, dump_stats=clean)
+
+        real_run = SoC.run
+        calls = []
+
+        def flaky_run(self):
+            # run_design registers the SoC's stats before calling run(),
+            # so this fails an attempt after registration.
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("transient failure after reg_stats")
+            return real_run(self)
+
+        monkeypatch.setattr(SoC, "run", flaky_run)
+        retried = str(tmp_path / "retried")
+        metrics = SweepMetrics()
+        results = run_sweep(WORKLOAD, designs, dump_stats=retried,
+                            retries=1, on_error="collect", metrics=metrics)
+        ok, failed = partition_results(results)
+        assert len(ok) == 1 and not failed
+        assert metrics.retries == 1
+        assert _dump(retried) == _dump(clean)
+
+    def test_point_failing_every_attempt_writes_no_stats(self, tmp_path):
+        dump = str(tmp_path / "stats")
+        results = run_sweep(WORKLOAD, quick_designs(2), dump_stats=dump,
+                            retries=1, on_error="collect", fault="raise@0")
+        assert isinstance(results[0], FailedPoint)
+        assert sorted(os.listdir(dump)) == [f"{WORKLOAD}-0001.json"]
 
 
 class TestConsumers:

@@ -170,7 +170,7 @@ class TestParallel:
 
 
 class TestRunSweepIntegration:
-    def test_run_sweep_serial_path_unchanged(self):
+    def test_run_sweep_default_path_returns_every_point(self):
         designs = quick_designs(2)
         results = run_sweep(WORKLOAD, designs)
         assert len(results) == 2

@@ -124,6 +124,19 @@ class TestErrorMapping:
         with pytest.raises(ServiceError, match="unknown design field"):
             client.sweep(WORKLOAD, [{"warp_speed": 9}])
 
+    @pytest.mark.parametrize("design, message", [
+        ({"lanes": 0}, "lanes"),
+        ({"lanes": 2.5}, "lanes must be an integer"),
+        ({"loop_pipelining": True}, "unknown design field"),
+    ])
+    def test_invalid_design_is_400_and_server_lives(self, endpoint, design,
+                                                    message):
+        client, _service = endpoint
+        with pytest.raises(ServiceError, match=message) as info:
+            client.sweep(WORKLOAD, [design])
+        assert info.value.status == 400
+        assert client.health()["status"] == "ok"
+
     def test_bad_kind_is_400(self, endpoint):
         client, _service = endpoint
         with pytest.raises(ServiceError, match="kind") as info:
