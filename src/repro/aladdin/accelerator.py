@@ -16,6 +16,7 @@ from repro.aladdin.ddg import DDDG
 from repro.aladdin.modulo import plan_ii
 from repro.aladdin.transforms import assign_lanes
 from repro.aladdin.scheduler import DatapathScheduler, SpadInterface
+from repro.aladdin.activity import measured
 from repro.aladdin.area import AreaModel
 from repro.aladdin.power import PowerModel
 from repro.units import edp, power_mw
@@ -44,13 +45,14 @@ def make_scratchpad(trace, partitions, ports_per_partition=1, kinds=None):
     """Build the scratchpad holding the trace's arrays.
 
     ``kinds`` restricts which array roles get scratchpad storage (cache-based
-    designs keep only ``internal`` arrays local).
+    designs keep only ``internal`` arrays local).  With no array to hold,
+    a minimal stub bank keeps the interfaces (and the cost model) uniform.
     """
     specs = [
         ArraySpec(a.name, a.size_bytes, a.word_bytes)
         for a in trace.arrays.values()
         if kinds is None or a.kind in kinds
-    ]
+    ] or [ArraySpec("__none__", 64, 4)]
     return Scratchpad(specs, partitions, ports_per_partition)
 
 
@@ -96,7 +98,7 @@ class Accelerator:
         sim.run()
         ticks = sched.done_tick - sched.start_tick
         cycles = self.clock.ticks_to_cycles(ticks)
-        model = PowerModel(self.lanes, self.trace.op_histogram())
-        energy = model.energy(ticks, spad=spad)
-        area = AreaModel.from_power_model(model).area(spad=spad)
+        activity = measured(self.lanes, self.trace.op_histogram(), spad)
+        energy = PowerModel(activity).energy(ticks)
+        area = AreaModel(activity).area()
         return IsolatedResult(cycles, ticks, energy, spad, sched, area=area)

@@ -84,52 +84,55 @@ class AreaBreakdown:
 
 
 class AreaModel:
-    """Computes an accelerator's silicon area for one design point."""
+    """Prices one :class:`~repro.aladdin.activity.Activity` record in area.
 
-    def __init__(self, lanes, fu_classes):
-        self.lanes = lanes
-        self.fu_classes = frozenset(fu_classes)
+    Area reads only the record's geometry (lanes, FU inventory, array and
+    bank sizes, cache/TLB provisioning), never its access counts.
+    """
 
-    @classmethod
-    def from_power_model(cls, power_model):
-        """Share the FU inventory already inferred from the op histogram."""
-        return cls(power_model.lanes, power_model.fu_classes)
+    def __init__(self, activity):
+        self.activity = activity
 
     def fu_area_um2(self):
         """Area of all instantiated FUs (lanes x classes)."""
-        per_lane = sum(FU_AREA_UM2[fu] for fu in self.fu_classes)
-        return per_lane * self.lanes
+        per_lane = sum(FU_AREA_UM2[fu] for fu in self.activity.fu_classes)
+        return per_lane * self.activity.lanes
 
-    def spad_area_um2(self, spad):
+    def spad_area_um2(self):
         """Scratchpad array area including banking overhead."""
+        spad = self.activity.spad
+        if spad is None:
+            return 0.0
         total = 0.0
-        for name in spad.arrays:
-            total += sram_area_um2(
-                spad.partition_bytes(name) * spad.partitions,
-                banks=spad.partitions)
+        for _word_bytes, bank_bytes in spad.banks.values():
+            total += sram_area_um2(bank_bytes * spad.partitions,
+                                   banks=spad.partitions)
         return total
 
-    def cache_area_um2(self, cache, ports=1):
+    def cache_area_um2(self):
         """Cache area: data + tags, ports, MSHRs, control."""
+        cache = self.activity.cache
+        if cache is None:
+            return 0.0
         data = sram_area_um2(cache.size_bytes, banks=cache.assoc)
         tags = CACHE_TAG_FRACTION * data
-        port_factor = 1.0 + CACHE_PORT_AREA_FACTOR * max(ports - 1, 0)
-        mshrs = CACHE_MSHR_UM2 * cache.mshrs.num_entries
+        port_factor = 1.0 + CACHE_PORT_AREA_FACTOR * max(cache.ports - 1, 0)
+        mshrs = CACHE_MSHR_UM2 * cache.mshrs
         return (data + tags) * port_factor + mshrs + CACHE_CONTROL_UM2
 
-    def tlb_area_um2(self, tlb):
+    def tlb_area_um2(self):
         """TLB CAM area."""
-        return TLB_UM2_PER_ENTRY * tlb.entries
+        tlb = self.activity.tlb
+        if tlb is None:
+            return 0.0
+        return TLB_UM2_PER_ENTRY * tlb.num_entries
 
-    def area(self, spad=None, cache=None, tlb=None, cache_ports=1):
+    def area(self):
         """Full area breakdown for one configured accelerator."""
         bd = AreaBreakdown()
         bd.fu = self.fu_area_um2()
-        bd.registers = REGISTER_UM2_PER_LANE * self.lanes
-        if spad is not None:
-            bd.spad = self.spad_area_um2(spad)
-        if cache is not None:
-            bd.cache = self.cache_area_um2(cache, cache_ports)
-        if tlb is not None:
-            bd.tlb = self.tlb_area_um2(tlb)
+        bd.registers = REGISTER_UM2_PER_LANE * self.activity.lanes
+        bd.spad = self.spad_area_um2()
+        bd.cache = self.cache_area_um2()
+        bd.tlb = self.tlb_area_um2()
         return bd

@@ -102,42 +102,40 @@ class EnergyBreakdown:
 
 
 class PowerModel:
-    """Computes an accelerator's energy for one simulated run."""
+    """Prices one :class:`~repro.aladdin.activity.Activity` record in energy.
 
-    def __init__(self, lanes, op_histogram):
-        self.lanes = lanes
-        self.op_histogram = dict(op_histogram)
-        self.fu_classes = self._used_fu_classes()
+    Each component reads only its part of the record and is zero when the
+    part is absent (no cache on a DMA design, say).
+    """
 
-    def _used_fu_classes(self):
-        used = set()
-        for op, count in self.op_histogram.items():
-            if count > 0:
-                used.add(OP_INFO[op].fu)
-        # Every accelerator has memory issue logic.
-        used.add(FuClass.MEM)
-        return used
+    def __init__(self, activity):
+        self.activity = activity
 
     # -- dynamic components ---------------------------------------------------
 
     def fu_dynamic_pj(self):
         """Dynamic FU + pipeline-register energy over the run."""
         total = 0.0
-        for op, count in self.op_histogram.items():
+        for op, count in self.activity.op_histogram.items():
             total += count * (OP_INFO[op].energy_pj + NODE_OVERHEAD_PJ)
         return total
 
-    def spad_dynamic_pj(self, spad):
+    def spad_dynamic_pj(self):
         """Scratchpad access energy, per bank capacity."""
+        spad = self.activity.spad
+        if spad is None:
+            return 0.0
         total = 0.0
-        for array, count in spad.access_by_array.items():
-            spec = spad.arrays[array]
-            total += count * sram_access_energy_pj(
-                spad.partition_bytes(array), spec.word_bytes)
+        for array, count in spad.accesses.items():
+            word_bytes, bank_bytes = spad.banks[array]
+            total += count * sram_access_energy_pj(bank_bytes, word_bytes)
         return total
 
-    def cache_dynamic_pj(self, cache):
+    def cache_dynamic_pj(self):
         """Cache access + tag + fill/writeback energy."""
+        cache = self.activity.cache
+        if cache is None:
+            return 0.0
         accesses = cache.reads + cache.writes
         way_bytes = cache.size_bytes / cache.assoc
         data_pj = sram_access_energy_pj(way_bytes, word_bytes=8)
@@ -148,34 +146,52 @@ class PowerModel:
         return (accesses * (data_pj + tag_pj)
                 + (fills + cache.writebacks) * line_pj)
 
-    def tlb_pj(self, tlb):
+    def tlb_pj(self):
         """TLB lookup and walk energy."""
+        tlb = self.activity.tlb
+        if tlb is None:
+            return 0.0
         return (tlb.hits + tlb.misses) * TLB_ACCESS_PJ + tlb.misses * TLB_MISS_PJ
+
+    def dynamic_pj(self):
+        """Every dynamic component, summed in breakdown order."""
+        return (self.fu_dynamic_pj() + self.spad_dynamic_pj()
+                + self.cache_dynamic_pj() + self.tlb_pj())
 
     # -- leakage components --------------------------------------------------
 
     def fu_leakage_mw(self):
         """Leakage of all instantiated FUs (lanes x classes)."""
-        per_lane = sum(FU_LEAKAGE_MW[fu] for fu in self.fu_classes)
-        return per_lane * self.lanes
+        per_lane = sum(FU_LEAKAGE_MW[fu] for fu in self.activity.fu_classes)
+        return per_lane * self.activity.lanes
 
-    def spad_leakage_mw(self, spad):
+    def spad_leakage_mw(self):
         """Scratchpad leakage (capacity + per-bank overhead)."""
+        spad = self.activity.spad
+        if spad is None:
+            return 0.0
         return sram_leakage_mw(spad.total_bytes,
-                               banks=spad.partitions * len(spad.arrays))
+                               banks=spad.partitions * len(spad.banks))
 
-    def cache_leakage_mw(self, cache, ports):
+    def cache_leakage_mw(self):
         """Cache leakage including tags, ports, control."""
+        cache = self.activity.cache
+        if cache is None:
+            return 0.0
         base = sram_leakage_mw(cache.size_bytes, banks=cache.assoc)
         # Tags add ~6% capacity; ports add wiring/decoder copies.
         tags = 0.06 * sram_leakage_mw(cache.size_bytes, banks=1)
-        port_factor = 1.0 + CACHE_PORT_LEAK_FACTOR * max(ports - 1, 0)
+        port_factor = 1.0 + CACHE_PORT_LEAK_FACTOR * max(cache.ports - 1, 0)
         return (base + tags) * port_factor + CACHE_CONTROL_LEAK_MW
+
+    def leakage_mw(self):
+        """Every static component, summed in breakdown order."""
+        return (self.fu_leakage_mw() + self.spad_leakage_mw()
+                + self.cache_leakage_mw())
 
     # -- full accounting --------------------------------------------------------
 
-    def energy(self, runtime_ticks, spad=None, cache=None, tlb=None,
-               cache_ports=1):
+    def energy(self, runtime_ticks):
         """Energy breakdown for one run of ``runtime_ticks`` duration.
 
         ``runtime_ticks`` should cover the interval the accelerator exists
@@ -188,13 +204,9 @@ class PowerModel:
         mw_to_pj = lambda mw: mw * 1e-3 * seconds * 1e12
         bd.fu_dynamic = self.fu_dynamic_pj()
         bd.fu_leakage = mw_to_pj(self.fu_leakage_mw())
-        if spad is not None:
-            bd.spad_dynamic = self.spad_dynamic_pj(spad)
-            bd.spad_leakage = mw_to_pj(self.spad_leakage_mw(spad))
-        if cache is not None:
-            bd.cache_dynamic = self.cache_dynamic_pj(cache)
-            bd.cache_leakage = mw_to_pj(self.cache_leakage_mw(cache,
-                                                              cache_ports))
-        if tlb is not None:
-            bd.tlb = self.tlb_pj(tlb)
+        bd.spad_dynamic = self.spad_dynamic_pj()
+        bd.spad_leakage = mw_to_pj(self.spad_leakage_mw())
+        bd.cache_dynamic = self.cache_dynamic_pj()
+        bd.cache_leakage = mw_to_pj(self.cache_leakage_mw())
+        bd.tlb = self.tlb_pj()
         return bd

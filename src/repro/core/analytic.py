@@ -89,8 +89,13 @@ def dma_transfer_ticks(bytes_, cfg, transactions=1):
     return clock.cycles_to_ticks(setup + beats + bursts)  # 1 arb beat/burst
 
 
-def predict_phases(workload, design, cfg=None):
-    """Analytic phase model for one DMA design point."""
+def phase_terms(workload, design, cfg=None):
+    """The static phases of one DMA design point: every phase but compute.
+
+    Flush, invalidate, DMA and driver time follow from the trace's array
+    sizes and the platform alone; ``compute`` is left at 0 for the caller
+    to fill (an isolated run, or the fast tier's tabulated schedule).
+    """
     cfg = cfg or SoCConfig()
     trace = cached_trace(workload)
     flush_lines = _region_lines(trace, INPUT_KINDS, cfg.cpu_cache_line)
@@ -101,19 +106,25 @@ def predict_phases(workload, design, cfg=None):
         txns = max(1, math.ceil(in_bytes / cfg.dma_block_bytes))
     else:
         txns = 1
-    accel = Accelerator(trace, design.lanes, design.partitions,
-                        design.spad_ports,
-                        pipelining=design.pipelining, ii=design.ii)
-    compute = accel.run_isolated().ticks
     return AnalyticPhases(
         flush=ns_to_ticks(flush_lines * cfg.flush_ns_per_line),
         invalidate=ns_to_ticks(inval_lines * cfg.invalidate_ns_per_line),
         dma_in=dma_transfer_ticks(in_bytes, cfg, transactions=txns),
-        compute=compute,
+        compute=0,
         dma_out=dma_transfer_ticks(out_bytes, cfg, transactions=1),
         driver=ns_to_ticks(cfg.ioctl_ns + cfg.poll_interval_ns),
         blocks=txns,
     )
+
+
+def predict_phases(workload, design, cfg=None):
+    """Analytic phase model for one DMA design point."""
+    phases = phase_terms(workload, design, cfg)
+    accel = Accelerator(cached_trace(workload), design.lanes,
+                        design.partitions, design.spad_ports,
+                        pipelining=design.pipelining, ii=design.ii)
+    phases.compute = accel.run_isolated().ticks
+    return phases
 
 
 def predict_total(workload, design, cfg=None):

@@ -38,21 +38,25 @@ error (Section III-F).  This module cashes that in for our sweeps:
 
 import hashlib
 import json
-import math
 import os
 import tempfile
 import time
 
-from repro.aladdin.accelerator import Accelerator
+from repro.aladdin.accelerator import Accelerator, make_scratchpad
+from repro.aladdin.activity import (
+    Activity,
+    CacheActivity,
+    SpadActivity,
+    TlbActivity,
+)
 from repro.aladdin.area import AreaModel
 from repro.aladdin.ir import Op
 from repro.aladdin.power import PowerModel
-from repro.core.analytic import INPUT_KINDS, OUTPUT_KINDS, dma_transfer_ticks
+from repro.core.analytic import phase_terms
 from repro.core.config import SoCConfig
 from repro.core.metrics import RunResult
 from repro.core.validation import relative_error
 from repro.errors import CalibrationError
-from repro.memory.sram import ArraySpec, Scratchpad
 from repro.units import (
     freq_mhz_to_period_ticks,
     ns_to_ticks,
@@ -61,8 +65,9 @@ from repro.units import (
 from repro.workloads import cached_trace
 
 #: Bump when fit features or the persisted schema change.  v4: class
-#: names and compute-table keys always carry the pipelining mode.
-CALIBRATION_VERSION = 4
+#: names and compute-table keys always carry the pipelining mode.  v5:
+#: compute-table entries hold schedule ``ticks`` only.
+CALIBRATION_VERSION = 5
 
 #: Subdirectory of the sweep cache root holding calibration files.
 CALIBRATION_DIR = "calibrations"
@@ -120,64 +125,36 @@ def design_class(design):
     return f"cache:l{design.cache_line}:{design.pipelining}"
 
 
-# -- workload profiles (trace-derived, design-independent) --------------------
+# -- trace profiles (design-independent, memoized on the trace) ---------------
 
-_PROFILE_MEMO = {}
+def _trace_profile(trace):
+    """Memory-node counts of one trace: per array, and over shared arrays.
 
-
-def _workload_profile(workload):
-    """Design-independent facts about one workload's trace."""
-    cached = _PROFILE_MEMO.get(workload)
-    if cached is not None:
-        return cached
-    trace = cached_trace(workload)
-    in_bytes = out_bytes = 0
-    input_sizes = []
-    output_sizes = []
-    shared_pages = 0
-    internal = set()
-    for name, decl in trace.arrays.items():
-        if decl.kind == "internal":
-            internal.add(name)
-            continue
-        shared_pages += -(-decl.size_bytes // _PAGE)
-        if decl.kind in INPUT_KINDS:
-            in_bytes += decl.size_bytes
-            input_sizes.append(decl.size_bytes)
-        if decl.kind in OUTPUT_KINDS:
-            out_bytes += decl.size_bytes
-            output_sizes.append(decl.size_bytes)
-    internal_access = {}
-    shared_accesses = 0
-    for node, array in enumerate(trace.node_array):
-        if array is None:
-            continue
-        if array in internal:
-            internal_access[array] = internal_access.get(array, 0) + 1
-        else:
-            shared_accesses += 1
-    model = PowerModel(1, trace.op_histogram())
-    profile = {
-        "in_bytes": in_bytes,
-        "out_bytes": out_bytes,
-        "input_sizes": tuple(input_sizes),
-        "output_sizes": tuple(output_sizes),
-        "shared_pages": shared_pages,
-        "shared_accesses": shared_accesses,
-        "internal_access": internal_access,
-        "internal_arrays": tuple(sorted(internal)),
-        "fu_dynamic_pj": model.fu_dynamic_pj(),
-        "fu_leak_mw_per_lane": model.fu_leakage_mw(),  # lanes=1
-        "fu_classes": model.fu_classes,
+    Memoized on the trace object, like the scheduler's construction
+    tables: a kernel re-registered under the same name gets a new trace,
+    so it can never be answered from its predecessor's counts.
+    """
+    profile = getattr(trace, "_fast_profile_memo", None)
+    if profile is not None:
+        return profile
+    accesses = {}
+    for array in trace.node_array:
+        if array is not None:
+            accesses[array] = accesses.get(array, 0) + 1
+    internal = {name for name, decl in trace.arrays.items()
+                if decl.kind == "internal"}
+    profile = trace._fast_profile_memo = {
+        "accesses": accesses,
+        "shared_pages": sum(-(-decl.size_bytes // _PAGE)
+                            for name, decl in trace.arrays.items()
+                            if name not in internal),
+        "shared_accesses": sum(count for name, count in accesses.items()
+                               if name not in internal),
     }
-    _PROFILE_MEMO[workload] = profile
     return profile
 
 
 # -- functional cache model ---------------------------------------------------
-
-_CACHE_PROFILE_MEMO = {}
-
 
 def functional_cache_profile(workload, size_bytes, line, assoc,
                              prefetcher="none", prefetch_degree=2):
@@ -190,14 +167,17 @@ def functional_cache_profile(workload, size_bytes, line, assoc,
     since prefetch fills shift both the demand-miss count and pollution
     writebacks — yielding hit/miss/writeback *counts*: the structural
     inputs of the cache-design time and energy fits.  Memoized per
-    geometry.
+    geometry on the trace object.
     """
-    key = (workload, size_bytes, line, assoc, prefetcher, prefetch_degree)
-    cached = _CACHE_PROFILE_MEMO.get(key)
+    trace = cached_trace(workload)
+    memo = getattr(trace, "_functional_cache_memo", None)
+    if memo is None:
+        memo = trace._functional_cache_memo = {}
+    key = (size_bytes, line, assoc, prefetcher, prefetch_degree)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     from repro.memory.prefetch import NullPrefetcher, StridePrefetcher
-    trace = cached_trace(workload)
     base = {}
     word_bytes = {}
     offset = 0
@@ -259,7 +239,7 @@ def functional_cache_profile(workload, size_bytes, line, assoc,
     counts = {"hits": hits, "misses": misses, "writebacks": writebacks,
               "prefetch_fills": prefetch_fills,
               "reads": reads, "writes": writes}
-    _CACHE_PROFILE_MEMO[key] = counts
+    memo[key] = counts
     return counts
 
 
@@ -288,17 +268,19 @@ def _combo_key(lanes, partitions, spad_ports, pipelining, ii):
 
 
 def tabulate_compute(workload, combos, progress=None):
-    """Isolated-run table over the distinct datapath combinations.
+    """Isolated-run schedule table over the distinct datapath combinations.
 
     A combination is (lanes, partitions, spad_ports, pipelining, ii),
-    ``ii`` spelled as a string.  The fast tier's compute phase is a
-    lookup into this table — an isolated run costs a sizable fraction
-    of an exact co-simulation, so paying it once per combination at
-    calibration time (instead of per design point per sweep) is what
-    makes fast predictions cheap.
+    ``ii`` spelled as a string; each entry holds the isolated run's
+    ``ticks``.  The fast tier's compute phase is a lookup into this
+    table — an isolated run costs a sizable fraction of an exact
+    co-simulation, so paying it once per combination at calibration time
+    (instead of per design point per sweep) is what makes fast
+    predictions cheap.  Spad energy and area are not tabulated: they do
+    not depend on the schedule, so the fast tier prices them exactly from
+    its activity record.
     """
     trace = cached_trace(workload)
-    hist = trace.op_histogram()
     table = {}
     combos = sorted(set(combos))
     for i, combo in enumerate(combos):
@@ -306,13 +288,7 @@ def tabulate_compute(workload, combos, progress=None):
         ii_val = ii if ii == "auto" else int(ii)
         res = Accelerator(trace, lanes, partitions, spad_ports,
                           pipelining=pipelining, ii=ii_val).run_isolated()
-        model = PowerModel(lanes, hist)
-        table[_combo_key(*combo)] = {
-            "ticks": res.ticks,
-            "spad_dynamic_pj": model.spad_dynamic_pj(res.spad),
-            "spad_leak_mw": model.spad_leakage_mw(res.spad),
-            "area_mm2": res.area_mm2,
-        }
+        table[_combo_key(*combo)] = {"ticks": res.ticks}
         if progress is not None:
             progress(i + 1, len(combos))
     return table
@@ -408,27 +384,48 @@ def _dot(coeffs, features):
 
 # -- feature builders ---------------------------------------------------------
 
-def _dma_phase_terms(profile, design, cfg):
-    """Cheap analytic phase terms (no isolated run, unlike predict_phases)."""
-    line = cfg.cpu_cache_line
-    flush_lines = sum(-(-size // line) for size in profile["input_sizes"])
-    inval_lines = sum(-(-size // line) for size in profile["output_sizes"])
-    in_bytes = profile["in_bytes"]
-    if design.pipelined_dma:
-        txns = max(1, -(-in_bytes // cfg.dma_block_bytes))
-    else:
-        txns = 1
-    return {
-        "flush": ns_to_ticks(flush_lines * cfg.flush_ns_per_line),
-        "invalidate": ns_to_ticks(inval_lines * cfg.invalidate_ns_per_line),
-        "dma_in": dma_transfer_ticks(in_bytes, cfg, transactions=txns),
-        "dma_out": dma_transfer_ticks(profile["out_bytes"], cfg,
-                                      transactions=1),
-        "driver": ns_to_ticks(cfg.ioctl_ns + cfg.poll_interval_ns),
-    }
+def _activity(trace, design, cfg, cache_counts=None):
+    """The fast tier's activity record for one design.
+
+    The scratchpad is the design's real layout with one access per
+    memory node of its arrays (a schedule moves accesses in time, never
+    changes their number); cache traffic comes from the functional cache
+    model, and the TLB misses once per shared page.
+    """
+    profile = _trace_profile(trace)
+    kinds = None if design.is_dma else ("internal",)
+    spad = SpadActivity(make_scratchpad(trace, design.partitions,
+                                        design.spad_ports, kinds=kinds),
+                        profile["accesses"])
+    cache = tlb = None
+    if not design.is_dma:
+        cache = CacheActivity(
+            design.cache_size_kb * 1024, design.cache_assoc,
+            design.cache_ports, cfg.mshrs, cache_counts["reads"],
+            cache_counts["writes"], cache_counts["misses"],
+            cache_counts["prefetch_fills"], cache_counts["writebacks"])
+        misses = min(profile["shared_pages"], profile["shared_accesses"])
+        tlb = TlbActivity(cfg.tlb_entries,
+                          profile["shared_accesses"] - misses, misses)
+    return Activity(design.lanes, trace.op_histogram(), spad, cache, tlb)
 
 
-def _time_features(profile, design, cfg, compute_ticks, cache_counts=None):
+def _design_inputs(workload, design, cfg):
+    """``(phases, time_counts, activity)`` of one design.
+
+    DMA designs carry their static analytic phases and no cache counts;
+    cache designs the reverse.
+    """
+    trace = cached_trace(workload)
+    if design.is_dma:
+        return (phase_terms(workload, design, cfg), None,
+                _activity(trace, design, cfg))
+    time_counts, energy_counts = _cache_counts(workload, design)
+    return None, time_counts, _activity(trace, design, cfg, energy_counts)
+
+
+def _time_features(design, cfg, compute_ticks, phases=None,
+                   cache_counts=None):
     """Structural time features; the fitted coefficients compose them.
 
     DMA: ``[1, compute, max(dma_in, compute)]`` — within one DMA class the
@@ -445,9 +442,8 @@ def _time_features(profile, design, cfg, compute_ticks, cache_counts=None):
     bottleneck where they serialize (bfs-bulk).
     """
     if design.is_dma:
-        t = _dma_phase_terms(profile, design, cfg)
         return [1.0, float(compute_ticks),
-                float(max(t["dma_in"], compute_ticks))]
+                float(max(phases.dma_in, compute_ticks))]
     period = freq_mhz_to_period_ticks(cfg.accel_clock_mhz)
     bus_bytes = cfg.bus_width_bits // 8
     penalty = (ns_to_ticks(cfg.dram_row_hit_ns)
@@ -459,106 +455,42 @@ def _time_features(profile, design, cfg, compute_ticks, cache_counts=None):
             float(max(compute_ticks, hit_service + miss_service))]
 
 
-class _Entries:
-    def __init__(self, num_entries):
-        self.num_entries = num_entries
+def _energy_features(activity, t_pred_ticks):
+    """``[1, dynamic_pj, leakage_pj_over_predicted_runtime]``."""
+    model = PowerModel(activity)
+    leak_pj = (model.leakage_mw() * 1e-3 * ticks_to_seconds(t_pred_ticks)
+               * 1e12)
+    return [1.0, model.dynamic_pj(), leak_pj]
 
 
-class _CacheShim:
-    """Just enough cache geometry + counts for the power/area models."""
-
-    def __init__(self, design, cfg, counts):
-        self.size_bytes = design.cache_size_kb * 1024
-        self.assoc = design.cache_assoc
-        self.reads = counts["reads"]
-        self.writes = counts["writes"]
-        self.fills = counts["misses"]
-        self.prefetch_fills = counts.get("prefetch_fills", 0)
-        self.writebacks = counts["writebacks"]
-        self.mshrs = _Entries(cfg.mshrs)
-
-
-class _TLBShim:
-    def __init__(self, entries, hits, misses):
-        self.entries = entries
-        self.hits = hits
-        self.misses = misses
-
-
-_INTERNAL_SPAD_MEMO = {}
-
-
-def _internal_spad(workload, partitions, spad_ports):
-    """The internal-arrays-only scratchpad of a cache design, with its
-    static access counts installed (for closed-form energy/area)."""
-    key = (workload, partitions, spad_ports)
-    cached = _INTERNAL_SPAD_MEMO.get(key)
-    if cached is not None:
-        return cached
-    profile = _workload_profile(workload)
-    trace = cached_trace(workload)
-    specs = [ArraySpec(name, trace.arrays[name].size_bytes,
-                       trace.arrays[name].word_bytes)
-             for name in profile["internal_arrays"]]
-    if not specs:  # mirror SoC._make_spad's uniform stub bank
-        specs = [ArraySpec("__none__", 64, 4)]
-    spad = Scratchpad(specs, partitions, spad_ports)
-    spad.access_by_array.update(profile["internal_access"])
-    _INTERNAL_SPAD_MEMO[key] = spad
-    return spad
-
-
-def _energy_features(workload, design, cfg, t_pred_ticks, combo_entry,
-                     cache_counts=None):
-    """``[1, dynamic_pj_estimate, leakage_pj_over_predicted_runtime]``."""
-    profile = _workload_profile(workload)
-    model = PowerModel(design.lanes, {})  # only used for closed-form parts
-    dyn = profile["fu_dynamic_pj"]
-    leak_mw = profile["fu_leak_mw_per_lane"] * design.lanes
-    if design.is_dma:
-        dyn += combo_entry["spad_dynamic_pj"]
-        leak_mw += combo_entry["spad_leak_mw"]
-    else:
-        spad = _internal_spad(workload, design.partitions, design.spad_ports)
-        dyn += model.spad_dynamic_pj(spad)
-        leak_mw += model.spad_leakage_mw(spad)
-        shim = _CacheShim(design, cfg, cache_counts)
-        dyn += model.cache_dynamic_pj(shim)
-        leak_mw += model.cache_leakage_mw(shim, design.cache_ports)
-        misses = min(profile["shared_pages"], profile["shared_accesses"])
-        tlb = _TLBShim(cfg.tlb_entries,
-                       profile["shared_accesses"] - misses, misses)
-        dyn += model.tlb_pj(tlb)
-    leak_pj = leak_mw * 1e-3 * ticks_to_seconds(t_pred_ticks) * 1e12
-    return [1.0, dyn, leak_pj]
+def _breakdown(phases, total, compute):
+    """Approximate cycle classes that still sum to ``total``."""
+    compute_only = min(compute, total)
+    rest = total - compute_only
+    dma_flush = flush_only = 0
+    if phases is not None:
+        dma_flush = min(phases.dma_in + phases.dma_out, rest)
+        rest -= dma_flush
+        flush_only = min(phases.flush, rest)
+    return {
+        "flush_only": flush_only,
+        "dma_flush": dma_flush,
+        "compute_dma": 0,
+        "compute_only": compute_only,
+        "other": total - compute_only - dma_flush - flush_only,
+    }
 
 
 # -- fast results -------------------------------------------------------------
-
-class _FastEnergy:
-    """Closed-form energy total standing in for an EnergyBreakdown."""
-
-    def __init__(self, total_pj):
-        self.total_pj = total_pj
-
-    def as_dict(self):
-        return {"fast_total": self.total_pj}
-
-
-class _FastArea:
-    def __init__(self, total_mm2):
-        self.total_mm2 = total_mm2
-
-    def as_dict(self):
-        return {"fast_total_mm2": self.total_mm2}
-
 
 class FastResult(RunResult):
     """A design point evaluated by the calibrated analytic model.
 
     Interchangeable with an exact :class:`RunResult` everywhere results
     flow (Pareto, EDP, export, reporting); distinguished by
-    ``fidelity == "fast"``.
+    ``fidelity == "fast"``.  Its ``energy_pj`` is a fitted total with no
+    honest per-component split, so ``energy`` is ``None``; its ``area``
+    is the real :class:`~repro.aladdin.area.AreaBreakdown`.
     """
 
     fidelity = "fast"
@@ -626,10 +558,10 @@ class Calibration:
     # -- compute-table access ------------------------------------------------
 
     def _fallback_coeffs(self):
-        """Hyperbolic ``[1, 1/l, 1/p, 1/(l*p)]`` fits for off-table combos."""
+        """Hyperbolic ``[1, 1/l, 1/p, 1/(l*p)]`` ticks fit for off-table
+        combos."""
         if self._fallback is None:
-            rows, targets = [], {"ticks": [], "spad_dynamic_pj": [],
-                                 "spad_leak_mw": [], "area_mm2": []}
+            rows, ticks = [], []
             for key, entry in self.compute_table.items():
                 shape, mode, _ii = key.split(":")
                 if mode != "barriers":
@@ -639,18 +571,14 @@ class Calibration:
                 lanes, parts, _ports = (int(v) for v in shape.split("x"))
                 rows.append([1.0, 1.0 / lanes, 1.0 / parts,
                              1.0 / (lanes * parts)])
-                for field in targets:
-                    targets[field].append(float(entry[field]))
+                ticks.append(float(entry["ticks"]))
             if not rows:
                 return None
-            self._fallback = {
-                field: _rel_lstsq(rows, ys, free=(0,))
-                for field, ys in targets.items()
-            }
+            self._fallback = _rel_lstsq(rows, ticks, free=(0,))
         return self._fallback
 
-    def compute_entry(self, design):
-        """Tabulated (or interpolated) isolated-run quantities.
+    def compute_ticks(self, design):
+        """Tabulated (or interpolated) isolated-run ticks.
 
         ``None`` for an uncovered non-barrier combination: the
         hyperbolic interpolation is fitted on barrier-mode schedules
@@ -661,7 +589,7 @@ class Calibration:
             _combo_key(design.lanes, design.partitions, design.spad_ports,
                        design.pipelining, str(design.ii)))
         if entry is not None:
-            return entry
+            return entry["ticks"]
         if design.pipelining != "barriers":
             return None
         coeffs = self._fallback_coeffs()
@@ -669,8 +597,7 @@ class Calibration:
             return None
         feats = [1.0, 1.0 / design.lanes, 1.0 / design.partitions,
                  1.0 / (design.lanes * design.partitions)]
-        return {field: max(_dot(c, feats), 0.0)
-                for field, c in coeffs.items()}
+        return max(_dot(coeffs, feats), 0.0)
 
     # -- prediction ----------------------------------------------------------
 
@@ -680,57 +607,21 @@ class Calibration:
         fit = self.classes.get(design_class(design))
         if fit is None:
             return None
-        profile = _workload_profile(self.workload)
-        entry = self.compute_entry(design)
-        if entry is None:
+        ticks = self.compute_ticks(design)
+        if ticks is None:
             return None
-        compute = max(int(round(entry["ticks"])), 1)
-        time_counts = energy_counts = None
-        if not design.is_dma:
-            time_counts, energy_counts = _cache_counts(self.workload, design)
-        tf = _time_features(profile, design, cfg, compute, time_counts)
+        compute = max(int(round(ticks)), 1)
+        phases, counts, activity = _design_inputs(self.workload, design, cfg)
+        tf = _time_features(design, cfg, compute, phases, counts)
         total = max(int(round(_dot(fit.time_coeffs, tf))), 1)
-        ef = _energy_features(self.workload, design, cfg, total, entry,
-                              energy_counts)
-        energy_pj = max(_dot(fit.energy_coeffs, ef), 0.0)
+        energy_pj = max(_dot(fit.energy_coeffs,
+                             _energy_features(activity, total)), 0.0)
         return FastResult(
             self.workload, design, total,
             total // freq_mhz_to_period_ticks(cfg.accel_clock_mhz),
-            self._breakdown(profile, design, cfg, total, compute),
-            _FastEnergy(energy_pj),
-            stats={"fidelity": "fast"},
-            area=self._area(design, cfg, entry, energy_counts))
-
-    def _breakdown(self, profile, design, cfg, total, compute):
-        """Approximate cycle classes that still sum to ``total``."""
-        compute_only = min(compute, total)
-        rest = total - compute_only
-        if design.is_dma:
-            t = _dma_phase_terms(profile, design, cfg)
-            dma_flush = min(t["dma_in"] + t["dma_out"], rest)
-            rest -= dma_flush
-            flush_only = min(t["flush"], rest)
-        else:
-            dma_flush = flush_only = 0
-        return {
-            "flush_only": flush_only,
-            "dma_flush": dma_flush,
-            "compute_dma": 0,
-            "compute_only": compute_only,
-            "other": total - compute_only - dma_flush - flush_only,
-        }
-
-    def _area(self, design, cfg, entry, counts):
-        if design.is_dma:
-            return _FastArea(entry["area_mm2"])
-        profile = _workload_profile(self.workload)
-        spad = _internal_spad(self.workload, design.partitions,
-                              design.spad_ports)
-        shim = _CacheShim(design, cfg, counts)
-        model = AreaModel(design.lanes, profile["fu_classes"])
-        return model.area(spad=spad, cache=shim,
-                          tlb=_TLBShim(cfg.tlb_entries, 0, 0),
-                          cache_ports=design.cache_ports)
+            _breakdown(phases, total, compute), None,
+            stats={"fidelity": "fast"}, area=AreaModel(activity).area(),
+            energy_pj=energy_pj)
 
     # -- persistence ---------------------------------------------------------
 
@@ -775,7 +666,6 @@ class Calibration:
 
     def save(self, cache_dir):
         """Atomically persist next to the sweep result cache."""
-        path = self.path_for(cache_dir, self.workload)
         # path_for hashes a default config; self covers a specific one.
         path = os.path.join(cache_dir, CALIBRATION_DIR,
                             f"{self.workload}-{self.cfg_hash}.json")
@@ -871,29 +761,19 @@ def _sample_designs(class_key, designs):
     return out
 
 
-def _fit_class(workload, class_key, samples, results, cfg, table, cal_like):
+def _fit_class(workload, samples, results, cfg, cal):
     """Least-squares-fit one class's correction coefficients + errors."""
-    profile = _workload_profile(workload)
-    feats_t, y_t = [], []
-    computes, counts_list = [], []
+    feats_t, y_t, activities = [], [], []
     for design, result in zip(samples, results):
-        entry = cal_like.compute_entry(design)
-        compute = max(int(round(entry["ticks"])), 1)
-        time_counts = energy_counts = None
-        if not design.is_dma:
-            time_counts, energy_counts = _cache_counts(workload, design)
-        computes.append((entry, compute))
-        counts_list.append(energy_counts)
-        feats_t.append(_time_features(profile, design, cfg, compute,
-                                      time_counts))
+        compute = max(int(round(cal.compute_ticks(design))), 1)
+        phases, counts, activity = _design_inputs(workload, design, cfg)
+        feats_t.append(_time_features(design, cfg, compute, phases, counts))
+        activities.append(activity)
         y_t.append(float(result.total_ticks))
     time_coeffs = _rel_lstsq(feats_t, y_t, free=(0,))
     t_preds = [max(int(round(_dot(time_coeffs, f))), 1) for f in feats_t]
-    feats_e = [
-        _energy_features(workload, design, cfg, t_pred, entry, counts)
-        for design, t_pred, (entry, _c), counts
-        in zip(samples, t_preds, computes, counts_list)
-    ]
+    feats_e = [_energy_features(activity, t_pred)
+               for activity, t_pred in zip(activities, t_preds)]
     energy_coeffs = _rel_lstsq(feats_e, [float(r.energy_pj)
                                          for r in results], free=(0,))
     time_err = 0.0
@@ -962,8 +842,7 @@ def calibrate_workload(workload, cfg=None, density="standard",
         results = run_sweep(workload, samples, cfg, parallel=parallel,
                             cache_dir=cache_dir, metrics=metrics,
                             executor=executor)
-        fit = _fit_class(workload, class_key, samples, results, cfg,
-                         table, cal)
+        fit = _fit_class(workload, samples, results, cfg, cal)
         if max(fit.time_error_max, fit.power_error_max) > MAX_FIT_ERROR:
             rejected[class_key] = fit
         else:

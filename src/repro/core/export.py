@@ -55,7 +55,8 @@ def result_record(result):
         "compute_dma_frac": frac["compute_dma"],
         "compute_only_frac": frac["compute_only"],
         "other_frac": frac["other"],
-        "energy_breakdown_pj": result.energy.as_dict(),
+        "energy_breakdown_pj": (None if result.energy is None
+                                else result.energy.as_dict()),
         "stats": {k: v for k, v in result.stats.items() if v is not None},
     }
     record.update(design_record(result.design))

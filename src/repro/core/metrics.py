@@ -53,14 +53,16 @@ class RunResult:
     fidelity = "exact"
 
     def __init__(self, workload, design, total_ticks, accel_cycles,
-                 breakdown, energy, stats=None, area=None):
+                 breakdown, energy, stats=None, area=None, energy_pj=None):
         self.workload = workload
         self.design = design
         self.total_ticks = total_ticks
         self.accel_cycles = accel_cycles
         self.breakdown = breakdown                # tick totals per class
-        self.energy = energy                      # EnergyBreakdown
-        self.energy_pj = energy.total_pj
+        # EnergyBreakdown, or None when only a total (``energy_pj``) is
+        # known — the fast tier's fitted energy has no per-component split.
+        self.energy = energy
+        self.energy_pj = energy.total_pj if energy is not None else energy_pj
         self.power_mw = power_mw(self.energy_pj, total_ticks)
         self.edp = edp(self.energy_pj, total_ticks)
         self.stats = stats or {}

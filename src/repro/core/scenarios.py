@@ -82,7 +82,7 @@ def run_isolated(workload, design):
     return RunResult(workload, design, res.ticks,
                      accel.clock.ticks_to_cycles(res.ticks),
                      breakdown, res.energy,
-                     stats=stats)
+                     stats=stats, area=res.area)
 
 
 def isolated_sweep(workload, density="standard"):

@@ -25,6 +25,8 @@ The platform (bus, DRAM, coherence domain, CPU cache) is factored into
 ACCEL0 and ACCEL1 on one bus; see :mod:`repro.core.multi`.
 """
 
+from repro.aladdin.accelerator import make_scratchpad
+from repro.aladdin.activity import measured
 from repro.aladdin.area import AreaModel
 from repro.aladdin.power import PowerModel
 from repro.check import resolve_check
@@ -46,7 +48,6 @@ from repro.memory.cache import Cache
 from repro.memory.coherence import CoherenceDomain
 from repro.memory.dram import DRAM
 from repro.memory.fullempty import ReadyBits
-from repro.memory.sram import ArraySpec, Scratchpad
 from repro.memory.tlb import AcceleratorTLB
 from repro.memory.traffic import TrafficGenerator
 from repro.sim.clock import ClockDomain
@@ -196,7 +197,8 @@ class SoC:
         self.ready_bits = {}
 
         if design.is_dma:
-            self.spad = self._make_spad(kinds=None)
+            self.spad = make_scratchpad(self.trace, design.partitions,
+                                        design.spad_ports)
             self.dma = DMAEngine(self.sim, self.accel_clock, self.bus,
                                  setup_cycles=cfg.dma_setup_cycles,
                                  burst_bytes=cfg.dma_burst_bytes,
@@ -219,7 +221,9 @@ class SoC:
             mem_if = SpadInterface(self.sim, self.accel_clock, self.spad,
                                    ready_bits=self.ready_bits)
         else:
-            self.spad = self._make_spad(kinds=("internal",))
+            self.spad = make_scratchpad(self.trace, design.partitions,
+                                        design.spad_ports,
+                                        kinds=("internal",))
             self.accel_cache = Cache(
                 self.sim, self.accel_clock, f"accel{self.accel_id}-cache",
                 design.cache_size_kb * 1024, design.cache_line,
@@ -296,17 +300,6 @@ class SoC:
         array before the offload.  Standalone offloads: every shared
         array."""
         return True
-
-    def _make_spad(self, kinds):
-        design = self.design
-        specs = [ArraySpec(d.name, d.size_bytes, d.word_bytes)
-                 for d in self.trace.arrays.values()
-                 if kinds is None or d.kind in kinds]
-        if not specs:
-            # Cache-based design with no private arrays: a minimal stub bank
-            # keeps the interfaces uniform.
-            specs = [ArraySpec("__none__", 64, 4)]
-        return Scratchpad(specs, design.partitions, design.spad_ports)
 
     # -- flow helpers -------------------------------------------------------
 
@@ -487,17 +480,11 @@ class SoC:
             self.dma.busy.intervals if self.dma else [],
             self.scheduler.busy.intervals,
         )
-        model = PowerModel(self.design.lanes, self.trace.op_histogram())
-        energy = model.energy(
-            total,
-            spad=self.spad,
-            cache=self.accel_cache,
-            tlb=self.tlb,
-            cache_ports=self.design.cache_ports,
-        )
-        area = AreaModel.from_power_model(model).area(
-            spad=self.spad, cache=self.accel_cache, tlb=self.tlb,
-            cache_ports=self.design.cache_ports)
+        activity = measured(self.design.lanes, self.trace.op_histogram(),
+                            self.spad, cache=self.accel_cache, tlb=self.tlb,
+                            cache_ports=self.design.cache_ports)
+        energy = PowerModel(activity).energy(total)
+        area = AreaModel(activity).area()
         stats = {
             "bus_utilization": self.bus.utilization(0, total),
             "bus_bytes": self.bus.bytes_transferred,

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.aladdin.activity import Activity, CacheActivity, SpadActivity
 from repro.aladdin.area import AreaModel, sram_area_um2
 from repro.aladdin.ir import FuClass, Op
-from repro.aladdin.power import PowerModel
 from repro.memory.sram import ArraySpec, Scratchpad
 
 
@@ -24,44 +24,51 @@ class TestSramArea:
         assert 3.0 < ratio < 4.5
 
 
+def _cache(size_bytes, ports, assoc=4):
+    return CacheActivity(size_bytes, assoc, ports, mshrs=16, reads=0,
+                         writes=0, fills=0, prefetch_fills=0, writebacks=0)
+
+
 class TestAreaModel:
-    def _model(self, lanes=4):
-        pm = PowerModel(lanes, {Op.FMUL: 10, Op.LOAD: 10})
-        return AreaModel.from_power_model(pm)
+    def _model(self, lanes=4, **parts):
+        return AreaModel(Activity(lanes, {Op.FMUL: 10, Op.LOAD: 10},
+                                  **parts))
 
     def test_fu_area_scales_with_lanes(self):
         assert self._model(8).fu_area_um2() == 2 * self._model(4).fu_area_um2()
 
     def test_only_used_fu_classes_counted(self):
-        just_alu = AreaModel(1, {FuClass.ALU})
-        alu_and_fp = AreaModel(1, {FuClass.ALU, FuClass.FMUL})
+        just_alu = AreaModel(Activity(1, {Op.ADD: 1}))
+        alu_and_fp = AreaModel(Activity(1, {Op.ADD: 1, Op.FMUL: 1}))
+        assert just_alu.activity.fu_classes == {FuClass.ALU, FuClass.MEM}
         assert alu_and_fp.fu_area_um2() > just_alu.fu_area_um2()
 
     def test_breakdown_total(self):
         spad = Scratchpad([ArraySpec("a", 4096, 4)], 4)
-        bd = self._model().area(spad=spad)
+        bd = self._model(spad=SpadActivity(spad)).area()
         assert bd.total_um2 == pytest.approx(
             bd.fu + bd.registers + bd.spad)
         assert bd.total_mm2 == pytest.approx(bd.total_um2 / 1e6)
 
     def test_cache_area_grows_with_ports(self):
-        from repro.memory.cache import Cache
-        from repro.sim.clock import ClockDomain
-        from repro.sim.kernel import Simulator
-        cache = Cache(Simulator(), ClockDomain(100), "c", 8192, 64, 4)
-        m = self._model()
-        assert m.cache_area_um2(cache, ports=8) > \
-            2 * m.cache_area_um2(cache, ports=1)
+        eight = self._model(cache=_cache(8192, ports=8))
+        one = self._model(cache=_cache(8192, ports=1))
+        assert eight.cache_area_um2() > 2 * one.cache_area_um2()
 
     def test_multiported_cache_beats_partitioned_scratchpad(self):
         """The paper's Figure 10 asymmetry, in area terms."""
-        from repro.memory.cache import Cache
-        from repro.sim.clock import ClockDomain
-        from repro.sim.kernel import Simulator
-        m = self._model()
-        cache = Cache(Simulator(), ClockDomain(100), "c", 16 * 1024, 64, 4)
         spad = Scratchpad([ArraySpec("a", 16 * 1024, 4)], 16)
-        assert m.cache_area_um2(cache, ports=8) > m.spad_area_um2(spad)
+        m = self._model(cache=_cache(16 * 1024, ports=8),
+                        spad=SpadActivity(spad))
+        assert m.cache_area_um2() > m.spad_area_um2()
+
+    def test_area_ignores_access_counts(self):
+        busy = Scratchpad([ArraySpec("a", 4096, 4)], 4)
+        for cycle in range(10):
+            busy.try_access("a", cycle, cycle)
+        idle = Scratchpad([ArraySpec("a", 4096, 4)], 4)
+        assert self._model(spad=SpadActivity(busy)).area().spad == \
+            self._model(spad=SpadActivity(idle)).area().spad
 
 
 class TestIntegration:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aladdin.activity import Activity, CacheActivity, SpadActivity
 from repro.aladdin.ir import FuClass, Op
 from repro.aladdin.power import (
     EnergyBreakdown,
@@ -34,41 +35,65 @@ class TestSramModel:
         assert sram_leakage_mw(4096, banks=16) > sram_leakage_mw(4096, banks=1)
 
 
+def _model(lanes, hist, spad=None, cache=None):
+    return PowerModel(Activity(lanes, hist, spad=spad, cache=cache))
+
+
+def _cache(ports, size_bytes=32 * 1024, assoc=8):
+    return CacheActivity(size_bytes, assoc, ports, mshrs=16, reads=0,
+                         writes=0, fills=0, prefetch_fills=0, writebacks=0)
+
+
 class TestPowerModel:
     def _hist(self):
         return {Op.FMUL: 100, Op.FADD: 100, Op.LOAD: 50, Op.STORE: 50}
 
     def test_fu_classes_inferred_from_ops(self):
-        model = PowerModel(4, self._hist())
-        assert FuClass.FMUL in model.fu_classes
-        assert FuClass.FADD in model.fu_classes
-        assert FuClass.MEM in model.fu_classes
-        assert FuClass.FDIV not in model.fu_classes
+        activity = Activity(4, self._hist())
+        assert FuClass.FMUL in activity.fu_classes
+        assert FuClass.FADD in activity.fu_classes
+        assert FuClass.MEM in activity.fu_classes
+        assert FuClass.FDIV not in activity.fu_classes
 
     def test_fu_dynamic_counts_every_op(self):
-        model = PowerModel(1, {Op.FMUL: 10})
+        model = _model(1, {Op.FMUL: 10})
         # 10 x (1.80 + 0.05 overhead)
         assert model.fu_dynamic_pj() == pytest.approx(18.5)
 
     def test_leakage_scales_with_lanes(self):
-        m1 = PowerModel(1, self._hist())
-        m4 = PowerModel(4, self._hist())
+        m1 = _model(1, self._hist())
+        m4 = _model(4, self._hist())
         assert m4.fu_leakage_mw() == pytest.approx(4 * m1.fu_leakage_mw())
 
     def test_energy_breakdown_totals(self):
-        model = PowerModel(2, self._hist())
         spad = Scratchpad([ArraySpec("a", 1024, 4)], 2)
         for _ in range(10):
             spad.try_access("a", 0, 0)
-        bd = model.energy(runtime_ticks=10**6, spad=spad)
+        model = _model(2, self._hist(), spad=SpadActivity(spad))
+        bd = model.energy(runtime_ticks=10**6)
         assert bd.total_pj == pytest.approx(
             bd.fu_dynamic + bd.fu_leakage + bd.spad_dynamic
             + bd.spad_leakage)
         assert bd.spad_dynamic > 0
         assert bd.cache_dynamic == 0
 
+    def test_given_counts_price_like_live_counts(self):
+        """The fast tier's record (geometry + counted accesses) prices
+        exactly like the live scratchpad that made those accesses."""
+        spad = Scratchpad([ArraySpec("a", 1024, 4),
+                           ArraySpec("b", 256, 8)], 2)
+        for cycle in range(7):
+            assert spad.try_access("a", 0, cycle)
+        live = _model(2, self._hist(), spad=SpadActivity(spad))
+        fresh = Scratchpad([ArraySpec("a", 1024, 4),
+                            ArraySpec("b", 256, 8)], 2)
+        given = _model(2, self._hist(),
+                       spad=SpadActivity(fresh, {"a": 7, "unused": 3}))
+        assert given.spad_dynamic_pj() == live.spad_dynamic_pj()
+        assert given.spad_leakage_mw() == live.spad_leakage_mw()
+
     def test_longer_runtime_more_leakage_same_dynamic(self):
-        model = PowerModel(2, self._hist())
+        model = _model(2, self._hist())
         e1 = model.energy(10**6)
         e2 = model.energy(2 * 10**6)
         assert e2.fu_leakage == pytest.approx(2 * e1.fu_leakage)
@@ -84,11 +109,18 @@ class TestPowerModel:
     def test_multiported_cache_leaks_more(self):
         """Figure 10's asymmetry: big multi-ported caches are much more
         expensive than partitioned scratchpads."""
-        from repro.memory.cache import Cache
-        from repro.sim.clock import ClockDomain
-        from repro.sim.kernel import Simulator
-        sim = Simulator()
-        cache = Cache(sim, ClockDomain(100), "c", 32 * 1024, 64, 8)
-        model = PowerModel(4, self._hist())
-        assert model.cache_leakage_mw(cache, ports=8) > \
-            2 * model.cache_leakage_mw(cache, ports=1)
+        eight = _model(4, self._hist(), cache=_cache(ports=8))
+        one = _model(4, self._hist(), cache=_cache(ports=1))
+        assert eight.cache_leakage_mw() > 2 * one.cache_leakage_mw()
+
+    def test_sums_follow_breakdown_order(self):
+        spad = Scratchpad([ArraySpec("a", 1024, 4)], 2)
+        spad.try_access("a", 0, 0)
+        model = _model(2, self._hist(), spad=SpadActivity(spad),
+                       cache=_cache(ports=2))
+        assert model.dynamic_pj() == (
+            model.fu_dynamic_pj() + model.spad_dynamic_pj()
+            + model.cache_dynamic_pj() + model.tlb_pj())
+        assert model.leakage_mw() == (
+            model.fu_leakage_mw() + model.spad_leakage_mw()
+            + model.cache_leakage_mw())

@@ -17,22 +17,30 @@ from repro.core.calibrate import (
     prune_dominated,
     run_sweep_tiered,
 )
+from repro.aladdin.trace import TraceBuilder
 from repro.core.config import DesignPoint, SoCConfig
+from repro.core.export import result_record
 from repro.core.pareto import edp_optimal, pareto_frontier
-from repro.core.sweep import cache_design_space, dma_design_space, run_sweep
+from repro.core.soc import run_design
+from repro.core.sweep import run_sweep
 from repro.core.sweeppool import SweepMetrics
 from repro.errors import CalibrationError
+from repro.workloads.registry import (
+    Workload,
+    register_workload,
+    unregister_workload,
+)
+from tests.properties._fast_golden import (
+    WORKLOAD,
+    capture,
+    load_golden_fast,
+    quick_grid,
+)
 
-WORKLOAD = "aes-aes"
-
-
-def quick_grid():
-    grid = [d
-            for pipelined in (False, True)
-            for triggered in (False, True)
-            for d in dma_design_space("quick", pipelined=pipelined,
-                                      triggered=triggered)]
-    return grid + cache_design_space("quick")
+#: DMA designs whose (lanes, partitions) the quick grid does not
+#: tabulate: their compute phase is interpolated, their area is not.
+OFF_TABLE = (DesignPoint(lanes=3, partitions=5),
+             DesignPoint(lanes=16, partitions=2))
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +145,73 @@ class TestCalibrationArtifact:
 
     def test_load_missing_is_none(self, tmp_path):
         assert Calibration.load(str(tmp_path), WORKLOAD) is None
+
+
+class TestFastTierPinned:
+    def test_predictions_match_golden(self, cal):
+        """Every tabulated prediction is bit-identical to the snapshot."""
+        assert capture(cal) == load_golden_fast()
+
+    def test_compute_table_holds_only_ticks(self, cal):
+        assert CALIBRATION_VERSION == 5
+        assert all(set(entry) == {"ticks"}
+                   for entry in cal.compute_table.values())
+
+    def test_fast_area_equals_exact_area(self, cal, exact_results):
+        """Area is priced from the same record in both tiers, on and off
+        the compute table."""
+        for design, exact in zip(quick_grid(), exact_results):
+            assert cal.predict(design).area_mm2 == exact.area_mm2
+        for design in OFF_TABLE:
+            assert cal.predict(design).area_mm2 == \
+                run_design(WORKLOAD, design).area_mm2
+
+    def test_fast_result_has_no_fake_breakdown(self, cal):
+        r = cal.predict(quick_grid()[0])
+        assert r.energy is None
+        assert r.energy_pj > 0
+        assert r.area.fu > 0
+        record = result_record(r)
+        assert record["energy_breakdown_pj"] is None
+        assert record["energy_pj"] == r.energy_pj
+        json.dumps(record)
+
+
+def _dot_builder(n):
+    def build():
+        tb = TraceBuilder("stale-dot")
+        tb.array("x", n, 4, kind="input", init=[1.0] * n)
+        tb.array("y", n, 4, kind="input", init=[2.0] * n)
+        tb.array("out", 1, 4, kind="output")
+        acc = 0.0
+        for i in range(n):
+            with tb.iteration(i):
+                acc = tb.fadd(acc, tb.fmul(tb.load("x", i),
+                                           tb.load("y", i)))
+        tb.store("out", 0, acc)
+        return tb
+    return build
+
+
+class TestReRegistration:
+    def test_fast_tier_follows_a_re_registered_kernel(self):
+        """Fast-tier memos live on the trace, so replacing a kernel under
+        the same name can never serve its predecessor's counts."""
+        name = "stale-dot"
+        design = DesignPoint(lanes=2, partitions=2, mem_interface="cache")
+        try:
+            for n in (256, 512):
+                register_workload(Workload.from_builder(
+                    name, _dot_builder(n), verify=lambda trace: None),
+                    replace=True)
+                counts = calibrate.functional_cache_profile(
+                    name, 4096, 64, 4)
+                assert counts["reads"] == 2 * n
+                _phases, _counts, activity = calibrate._design_inputs(
+                    name, design, SoCConfig())
+                assert activity.tlb.hits + activity.tlb.misses == 2 * n + 1
+        finally:
+            unregister_workload(name)
 
 
 class TestErrorWithinBound:

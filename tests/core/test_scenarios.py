@@ -34,6 +34,15 @@ class TestIsolatedRuns:
         assert r.breakdown["flush_only"] == 0
         assert r.stats["isolated"]
 
+    def test_isolated_result_reports_area(self):
+        from repro.aladdin.accelerator import Accelerator
+        from repro.workloads import cached_trace
+        d = DesignPoint(lanes=4, partitions=4)
+        r = run_isolated("aes-aes", d)
+        direct = Accelerator(cached_trace("aes-aes"), d.lanes, d.partitions,
+                             d.spad_ports).run_isolated()
+        assert r.area_mm2 == direct.area_mm2 > 0
+
     def test_isolated_sweep_covers_space(self):
         results = isolated_sweep("aes-aes", "quick")
         assert len(results) == 9
