@@ -9,16 +9,35 @@ nodes on accelerator clock edges and hears back from the memory system.
 
 Constraints modeled per cycle:
 
-* one pipelined functional unit per class per lane (II = 1);
+* one pipelined functional unit per class per lane (II = 1; widened by
+  ``fu_per_lane``);
 * one memory issue per lane, arbitrating for scratchpad bank ports or
   cache ports;
-* round barriers: iteration rounds (see :mod:`transforms`) synchronize, but
-  within a round a lane blocked on a cache miss or an unfilled full/empty
-  bit stalls alone (Section IV-D's miss-handling scheme).
+* loop pipelining, one of three modes over the iteration rounds of
+  :mod:`transforms`:
+
+  - ``barriers`` — rounds synchronize, but within a round a lane blocked
+    on a cache miss or an unfilled full/empty bit stalls alone (Section
+    IV-D's miss-handling scheme);
+  - ``off`` — rounds overlap freely (classic Aladdin loop pipelining);
+  - ``modulo`` — round r+1 opens II cycles after round r's first issue,
+    or when round r completes, whichever comes first
+    (:mod:`repro.aladdin.modulo`).
+
+Ready set.  Each lane queues its ready nodes in one FIFO bucket per FU
+class, each node with its enqueue sequence number, so the lane's issue
+order is the merge of its buckets in sequence order.  An issue pass takes
+a compute bucket's issuable heads in bulk and walks the memory bucket
+(each node needs its own bank, bit or cache) only until the memory port
+saturates.  The conflicts a node-by-node scan would have counted on the
+nodes of a saturated bucket come from the bucket's sequence range.
 """
 
+from bisect import bisect_left
+from itertools import islice
+
 from repro.errors import SimulationError
-from repro.aladdin.ir import FuClass, OP_INFO, Op, is_memory
+from repro.aladdin.ir import FuClass, OP_INFO, Op
 from repro.obs import trace
 from repro.sim.stats import IntervalTracker
 
@@ -26,6 +45,12 @@ from repro.sim.stats import IntervalTracker
 # counts FU use in flat lists instead of dicts.
 _FU_INDEX = {fu: i for i, fu in enumerate(FuClass.ALL)}
 _NUM_FU = len(FuClass.ALL)
+_MEM = _FU_INDEX[FuClass.MEM]
+_COMPUTE_FUS = tuple(fu for fu in range(_NUM_FU) if fu != _MEM)
+# Beyond every sequence key: "the lane never stopped".
+_NEVER = float("inf")
+# Shortest run of bank-blocked nodes worth remembering between walks.
+_MEMO_BLOCKED = 8
 
 
 class DatapathScheduler:
@@ -77,9 +102,15 @@ class DatapathScheduler:
                                if self._ii_gated else None)
         self.reservation_conflicts = 0
         self._indegree = list(ddg.indegree)
-        # Per-lane ready queues are plain lists: the issue pass rebuilds
-        # each scanned lane (preserving order) rather than popping.
-        self._ready = [[] for _ in range(self.lanes)]
+        # Ready set: ``_ready[lane][fu]`` is a FIFO of keys.  A key is
+        # ``seq * 2**k + node``: keys sort in enqueue order, and
+        # ``key & mask`` recovers the node.
+        self._ready = [[[] for _ in range(_NUM_FU)]
+                       for _ in range(self.lanes)]
+        n = ddg.num_nodes
+        self._key_step = 1 << n.bit_length()
+        self._key_mask = self._key_step - 1
+        self._next_key = 0
         self._round_parked = {}
         # Nodes-per-round template: shared read-only on the (memoized)
         # assignment, copied here because the countdown mutates during
@@ -100,7 +131,6 @@ class DatapathScheduler:
         # pass touches no dicts: FU index, latency in ticks, and kind
         # (0 = compute, 1 = load, 2 = store).
         node_ops = self.trace.node_op
-        n = ddg.num_nodes
         # These arrays are pure functions of (trace ops, clock period), so
         # they are shared across every scheduler built on the same graph —
         # a design sweep rebuilds the SoC per point but not these.  They
@@ -113,8 +143,6 @@ class DatapathScheduler:
             node_fu = [0] * n
             node_ticks = [0] * n
             node_kind = [0] * n
-            fu_index = _FU_INDEX
-            op_info = OP_INFO
             to_ticks = clock.cycles_to_ticks
             # Per-op memo: the trace has tens of thousands of nodes but
             # only a handful of distinct ops, so (fu, ticks, kind) is
@@ -124,9 +152,9 @@ class DatapathScheduler:
                 op = node_ops[node]
                 cached = op_memo.get(op)
                 if cached is None:
-                    info = op_info[op]
+                    info = OP_INFO[op]
                     kind = 1 if op == Op.LOAD else 2 if op == Op.STORE else 0
-                    cached = op_memo[op] = (fu_index[info.fu],
+                    cached = op_memo[op] = (_FU_INDEX[info.fu],
                                             to_ticks(info.latency), kind)
                 node_fu[node] = cached[0]
                 node_ticks[node] = cached[1]
@@ -140,7 +168,7 @@ class DatapathScheduler:
         self._node_lane = assignment.lane
         self._node_round = assignment.round
         self._successors = ddg.successors
-        self._num_nodes = ddg.num_nodes
+        self._num_nodes = n
         # The queue is accessed directly (not through the Simulator
         # wrapper) on every issue/completion.
         self._queue = sim.queue
@@ -149,21 +177,21 @@ class DatapathScheduler:
         self._state_cycle = -1
         self._fu_zero = [0] * _NUM_FU
         self._fu_used = [[0] * _NUM_FU for _ in range(self.lanes)]
-        # Ready-set bookkeeping: total ready nodes, plus per-lane per-FU
-        # counts so an issue pass can skip (or stop scanning) a lane whose
-        # queued classes are all saturated — a full scan would only rotate
-        # such a queue without issuing anything.
+        # Ready nodes in all, and per lane.
         self._num_ready = 0
-        self._ready_counts = [[0] * _NUM_FU for _ in range(self.lanes)]
+        self._lane_ready = [0] * self.lanes
         # Ticks of pending _issue_pass events.  A pass may be superseded by
         # an earlier-edge kick; tracking every scheduled tick (instead of
         # only the earliest) keeps a pass from being scheduled twice for
         # the same edge, which used to waste an event and an empty pass.
         self._scheduled_passes = set()
-        # Let the memory interface precompute its own per-node tables.
-        bind = getattr(mem_if, "bind", None)
-        if bind is not None:
-            bind(self)
+        # The memory interface precomputes its per-node tables and, by
+        # type, picks the issue pass's memory walk.
+        mem_if.bind(self)
+        self._launch = self._launcher()
+        self._walk_memory = (self._spad_walker()
+                             if isinstance(mem_if, SpadInterface)
+                             else self._cache_walker())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -181,30 +209,14 @@ class DatapathScheduler:
         if self.ddg.num_nodes == 0:
             self._finish()
             return
-        # Bulk _make_ready: traces with thousands of root loads make this
-        # loop worth binding (identical per-node behavior).
-        node_round = self._node_round
-        node_lane = self._node_lane
-        node_fu = self._node_fu
-        ready = self._ready
-        ready_counts = self._ready_counts
         gated = self.round_barriers or self._ii_gated
-        current_round = self._current_round
         parked = self._round_parked
-        num_ready = self._num_ready
         for node in self.ddg.roots:
-            r = node_round[node]
-            if gated and r > current_round:
-                if r in parked:
-                    parked[r].append(node)
-                else:
-                    parked[r] = [node]
+            r = self._node_round[node]
+            if gated and r > self._current_round:
+                parked.setdefault(r, []).append(node)
             else:
-                lane = node_lane[node]
-                ready[lane].append(node)
-                ready_counts[lane][node_fu[node]] += 1
-                num_ready += 1
-        self._num_ready = num_ready
+                self._enqueue_ready(node)
         self._kick()
 
     def _finish(self):
@@ -227,17 +239,11 @@ class DatapathScheduler:
 
     # -- readiness ------------------------------------------------------------
 
-    def _make_ready(self, node):
-        r = self._node_round[node]
-        if (self.round_barriers or self._ii_gated) \
-                and r > self._current_round:
-            self._round_parked.setdefault(r, []).append(node)
-            return
-        self._enqueue_ready(node)
-
     def _enqueue_ready(self, node):
-        self._ready[self._node_lane[node]].append(node)
-        self._ready_counts[self._node_lane[node]][self._node_fu[node]] += 1
+        lane = self._node_lane[node]
+        self._ready[lane][self._node_fu[node]].append(self._next_key + node)
+        self._next_key += self._key_step
+        self._lane_ready[lane] += 1
         self._num_ready += 1
 
     def resume_parked(self, node):
@@ -259,21 +265,23 @@ class DatapathScheduler:
         self._queue.schedule_at(when, self._issue_pass)
 
     # -- the per-cycle issue pass ----------------------------------------------
-
-    def _cycle_state(self):
-        cycle = self._queue.now // self._period
-        if cycle != self._state_cycle:
-            self._state_cycle = cycle
-            zero = self._fu_zero
-            for used in self._fu_used:
-                used[:] = zero
-            self.mem_if.new_cycle(cycle)
-        return cycle
+    #
+    # A lane's pass is defined as a scan of its ready nodes in enqueue
+    # order that issues what its resources allow, counts a conflict for
+    # every node it probes and refuses, and stops once every FU class
+    # still queued is saturated or emptied.  Without probing saturated
+    # classes: a compute class issues its first ``limit - used`` nodes;
+    # the memory bucket is walked until the port saturates or it empties
+    # (its exhaustion key ``mem_full``); the scan's ``stop`` is the
+    # largest exhaustion key, and the unprobed nodes before it in
+    # saturated classes are reservation conflicts, found by bisection.
+    # Issues launch in key order.  The memory walk (picked by the
+    # interface) and the launch step are closures built once per run.
 
     def _issue_pass(self):
         now = self._queue.now
         self._scheduled_passes.discard(now)
-        # _cycle_state inlined: reset per-cycle FU budgets on a new cycle.
+        # Reset per-cycle FU budgets on a new cycle.
         cycle = now // self._period
         if cycle != self._state_cycle:
             self._state_cycle = cycle
@@ -281,221 +289,79 @@ class DatapathScheduler:
             for used in self._fu_used:
                 used[:] = zero
             self.mem_if.new_cycle(cycle)
-        # Hot loop: per-node properties come from the flat arrays built in
-        # __init__ and every attribute chain is bound to a local.
-        node_fu = self._node_fu
-        node_ticks = self._node_ticks
-        node_kind = self._node_kind
         limits = self._fu_limits
-        fu_used = self._fu_used
+        mem_limit = limits[_MEM]
+        node_ticks = self._node_ticks
+        mask = self._key_mask
+        walk_memory = self._walk_memory
         ready = self._ready
-        ready_counts = self._ready_counts
-        mem_if = self.mem_if
-        mem_issue = mem_if.issue
-        # Scratchpad fast path: when the interface exposes a precomputed
-        # per-node plan (SpadInterface.bind), its issue logic is fused into
-        # this loop — same operations in the same order, minus ~1 call per
-        # memory node per cycle.
-        mem_plan = getattr(mem_if, "_node_plan", None)
-        if mem_plan is not None:
-            spad = mem_if.spad
-            spad_ports = mem_if._ports
-            access_by_array = mem_if._access_by_array
-            lat_ticks = mem_if._latency_ticks
-            plan_slots = mem_if._plan_slots
-            plan_bits = mem_if._plan_bits
-            plan_ready = mem_if._plan_ready
-            resume = self.resume_parked
-        evq = self._queue
-        schedule = evq.schedule
-        complete = self.complete_node
-        complete_batch = self._complete_batch
-        busy_begin = self.busy.begin
-        num_fu = _NUM_FU
-        # Launch bookkeeping is accumulated in locals and written back once:
-        # nothing dispatches events during the pass, so no completion can
-        # observe the stale attributes mid-loop.
-        in_flight = self._in_flight
-        loads = 0
-        stores = 0
-        # Completion batching: nodes completing at the same future tick
-        # share one event carrying a list, instead of one event each.  A
-        # batch may only absorb a node while no other event has been
-        # scheduled since its last append (tracked via the queue's sequence
-        # counter) — otherwise the foreign event could be due at the same
-        # tick and batching would reorder it relative to the completions.
-        # delay -> [node list, expected queue seq]; the last-touched entry
-        # is kept in locals, since consecutive issues usually share a delay.
+        lane_ready = self._lane_ready
+        fu_used = self._fu_used
+        launched = []
         batches = {}
-        last_delay = -1
-        last_entry = None
-        num_ready = self._num_ready
         conflicts = 0
-        # Modulo gating: the first issue of round r anchors the gate that
-        # opens round r+1 at now + II.  ``round_started`` is None outside
-        # modulo mode, so the other modes pay one local None test per
-        # issued node.
-        round_started = self._round_started
-        if round_started is not None:
-            node_round = self._node_round
-            ii_ticks = self._ii_ticks
-            open_gate = self._open_gate
-            num_rounds = len(round_started)
-            schedule_at = evq.schedule_at
+        issued = []
+        tails = []
         for lane in range(self.lanes):
-            queue = ready[lane]
-            if not queue:
+            if not lane_ready[lane]:
                 continue
+            queues = ready[lane]
             used = fu_used[lane]
-            counts = ready_counts[lane]
-            # FU classes that can still issue from this lane's queue.  A
-            # lane with none would keep its order under a scan anyway, so
-            # skipping it is behavior-preserving.
-            issuable = 0
-            for fu in range(num_fu):
-                if counts[fu] and used[fu] < limits[fu]:
-                    issuable += 1
-            if not issuable:
-                continue
-            # Rebuild the lane queue instead of pop/push scanning: skipped
-            # and retried nodes keep their relative order (the old deque
-            # scan popped and re-appended every node, which preserved
-            # order — this reproduces that final order without the churn).
-            remaining = []
-            rem_append = remaining.append
-            total = len(queue)
-            for i in range(total):
-                node = queue[i]
-                fu = node_fu[node]
-                if used[fu] >= limits[fu]:
-                    conflicts += 1
-                    rem_append(node)
-                    continue
-                kind = node_kind[node]
-                if kind:
-                    if mem_plan is None:
-                        status = mem_issue(self, node, cycle)
+            mem = queues[_MEM]
+            # Compute classes (none queued when the memory bucket holds
+            # all the lane's nodes): the issuable heads go in bulk.
+            issued.clear()
+            tails.clear()
+            stop = -1
+            for fu in (_COMPUTE_FUS if lane_ready[lane] > len(mem) else ()):
+                queue = queues[fu]
+                if queue:
+                    cap = limits[fu] - used[fu]
+                    if cap > 0:
+                        if cap == 1:   # the default width: no slice
+                            key = queue.pop(0)
+                            used[fu] += 1
+                            if key > stop:
+                                stop = key
+                            issued.append((key, node_ticks[key & mask]))
+                        else:
+                            heads = queue[:cap]
+                            del queue[:cap]
+                            used[fu] += len(heads)
+                            if heads[-1] > stop:
+                                stop = heads[-1]
+                            for key in heads:
+                                issued.append((key, node_ticks[key & mask]))
+                        if queue:
+                            tails.append(queue)
                     else:
-                        # SpadInterface.issue fused inline (see preamble).
-                        plan = mem_plan[node]
-                        bi = plan[1]
-                        if bi > 0:
-                            if plan_ready[bi][plan[2]]:
-                                bi = 0  # data arrived: fall through
-                        elif bi < 0:
-                            plan_bits[-bi].is_ready(plan[4])  # raises
-                        if bi:
-                            plan_bits[bi].wait_bit(
-                                plan[2], lambda _n=node: resume(_n))
-                            status = "parked"
-                        else:
-                            slot = plan_slots[plan[0]]
-                            if slot is None:
-                                # Unknown array: raises ConfigError.
-                                spad.try_access(plan[3], 0, cycle)
-                            if slot[0] != cycle:
-                                slot[0] = cycle
-                                slot[1] = 1
-                                status = lat_ticks
-                            elif slot[1] >= spad_ports:
-                                spad.conflicts += 1
-                                status = "retry"
-                            else:
-                                slot[1] += 1
-                                status = lat_ticks
-                            if status is lat_ticks:
-                                spad.accesses += 1
-                                access_by_array[plan[3]] += 1
-                    if status == "retry":
-                        rem_append(node)
-                        continue
-                    used[fu] += 1
-                    counts[fu] -= 1
-                    if status != "parked":
-                        if in_flight == 0:
-                            busy_begin(now)
-                        in_flight += 1
-                        if round_started is not None:
-                            rr = node_round[node]
-                            if rr >= 0 and not round_started[rr]:
-                                round_started[rr] = True
-                                if rr + 1 < num_rounds:
-                                    schedule_at(now + ii_ticks, open_gate,
-                                                rr + 1)
-                        if kind == 1:
-                            loads += 1
-                        else:
-                            stores += 1
-                        if type(status) is int:
-                            # The interface left scheduling to us: batch.
-                            if (status == last_delay
-                                    and last_entry[1] == evq._seq):
-                                last_entry[0].append(node)
-                            else:
-                                entry = batches.get(status)
-                                if (entry is not None
-                                        and entry[1] == evq._seq):
-                                    entry[0].append(node)
-                                else:
-                                    lst = [node]
-                                    seq = evq._seq
-                                    schedule(status, complete_batch, lst)
-                                    for e in batches.values():
-                                        if e[1] == seq:
-                                            e[1] = seq + 1
-                                    entry = batches[status] = [lst, seq + 1]
-                                last_delay = status
-                                last_entry = entry
-                else:
-                    used[fu] += 1
-                    counts[fu] -= 1
-                    if in_flight == 0:
-                        busy_begin(now)
-                    in_flight += 1
-                    if round_started is not None:
-                        rr = node_round[node]
-                        if rr >= 0 and not round_started[rr]:
-                            round_started[rr] = True
-                            if rr + 1 < num_rounds:
-                                schedule_at(now + ii_ticks, open_gate,
-                                            rr + 1)
-                    delay = node_ticks[node]
-                    if delay == last_delay and last_entry[1] == evq._seq:
-                        last_entry[0].append(node)
-                    elif delay > 0:
-                        entry = batches.get(delay)
-                        if entry is not None and entry[1] == evq._seq:
-                            entry[0].append(node)
-                        else:
-                            lst = [node]
-                            seq = evq._seq
-                            schedule(delay, complete_batch, lst)
-                            for e in batches.values():
-                                if e[1] == seq:
-                                    e[1] = seq + 1
-                            entry = batches[delay] = [lst, seq + 1]
-                        last_delay = delay
-                        last_entry = entry
-                    else:
-                        # Zero-delay events live in the tick FIFO, which
-                        # assigns no sequence numbers — unbatchable.
-                        schedule(0, complete, node)
-                num_ready -= 1
-                if counts[fu] == 0 or used[fu] >= limits[fu]:
-                    issuable -= 1
-                    if not issuable:
-                        # Everything still queued belongs to saturated
-                        # classes: keep it, order unchanged.
-                        remaining.extend(queue[i + 1:])
-                        break
-            ready[lane] = remaining
-        self._num_ready = num_ready
-        self._in_flight = in_flight
-        self.issued_loads += loads
-        self.issued_stores += stores
+                        tails.append(queue)
+            taken = len(issued)
+            if mem and used[_MEM] < mem_limit:
+                queued = len(mem)
+                mem_full = walk_memory(now, cycle, lane, mem, used, issued,
+                                       launched, batches)
+                taken += queued - len(mem)
+                if mem_full > stop:
+                    stop = mem_full
+            elif stop < 0:
+                continue   # nothing issuable: the scan skips the lane
+            else:
+                mem_full = -1
+                issued.sort()
+                launched += issued
+            lane_ready[lane] -= taken
+            for queue in tails:
+                conflicts += bisect_left(queue, stop)
+            if mem and mem_full < stop:
+                conflicts += (bisect_left(mem, stop)
+                              - bisect_left(mem, mem_full))
+        self._num_ready = sum(lane_ready)
         self.reservation_conflicts += conflicts
+        if launched:
+            self._launch(now, launched, batches)
         # Anything still queued retries next cycle (edge_after inlined).
-        if num_ready:
+        if self._num_ready:
             period = self._period
             nxt = now + 1
             rem = nxt % period
@@ -505,17 +371,233 @@ class DatapathScheduler:
                 pending.add(when)
                 self._queue.schedule_at(when, self._issue_pass)
 
+    def _spad_walker(self):
+        """``walk(now, cycle, lane, mem, used, issued, launched, batches)``
+        tries ``mem``, a lane's memory bucket, against banks and bits until
+        the memory port saturates; appends the lane's issues (``issued``
+        holds the compute ones) to ``launched`` in key order; returns the
+        memory class's exhaustion key (``_NEVER``: queued, port free).
+        """
+        mem_if = self.mem_if
+        spad = mem_if.spad
+        ports = mem_if._ports
+        lat_ticks = mem_if._latency_ticks
+        plans = mem_if._node_plan
+        slots = mem_if._plan_slots
+        plan_bits = mem_if._plan_bits
+        plan_ready = mem_if._plan_ready
+        access_by_array = mem_if._access_by_array
+        resume = self.resume_parked
+        mask = self._key_mask
+        limit = self._fu_limits[_MEM]
+
+        # The nodes a lane's last walk found blocked lead its bucket; while
+        # the banks they wait for are full again and no full/empty line was
+        # cleared, they are blocked again.  Per lane, for runs of at least
+        # _MEMO_BLOCKED nodes: (count, banks, lines cleared).
+        blocked = [None] * self.lanes
+        gated = plan_bits[1:]
+
+        def walk(now, cycle, lane, mem, used, issued, launched, batches):
+            start = 0
+            memo = blocked[lane]
+            if memo is not None:
+                for b in memo[1]:
+                    slot = slots[b]
+                    if slot[0] != cycle or slot[1] < ports:
+                        break
+                else:
+                    if memo[2] == sum(b.lines_cleared for b in gated):
+                        start = memo[0]
+            lost = start
+            end = _NEVER
+            walked = start
+            accesses = 0
+            for key in (islice(mem, start, None) if start else mem):
+                walked += 1
+                node = key & mask
+                plan = plans[node]
+                bi = plan[1]
+                if bi > 0:
+                    if plan_ready[bi][plan[2]]:
+                        bi = 0  # data arrived: fall through
+                elif bi < 0:
+                    plan_bits[-bi].is_ready(plan[4])  # raises
+                if bi:
+                    plan_bits[bi].wait_bit(plan[2],
+                                           lambda _n=node: resume(_n))
+                else:
+                    # Scratchpad.try_access against the bank slot.
+                    slot = slots[plan[0]]
+                    if slot is None:
+                        # Unknown array: raises ConfigError.
+                        spad.try_access(plan[3], 0, cycle)
+                    if slot[0] != cycle:
+                        slot[0] = cycle
+                        slot[1] = 1
+                    elif slot[1] >= ports:
+                        # Lost the bank: keep it behind the other losers.
+                        mem[lost] = key
+                        lost += 1
+                        continue
+                    else:
+                        slot[1] += 1
+                    accesses += 1
+                    access_by_array[plan[3]] += 1
+                    issued.append((key, lat_ticks))
+                used[_MEM] += 1
+                if used[_MEM] >= limit:
+                    end = key
+                    break
+            else:
+                if not lost:
+                    end = key   # emptied
+            del mem[lost:walked]
+            if lost >= _MEMO_BLOCKED:
+                if lost != start:
+                    memo = (lost, {plans[k & mask][0] for k in mem[:lost]},
+                            sum(b.lines_cleared for b in gated))
+                blocked[lane] = memo
+            else:
+                blocked[lane] = None
+            spad.conflicts += lost
+            spad.accesses += accesses
+            # Nothing else schedules events during the pass, so the lane's
+            # issues can wait for the end of the pass, in key order.
+            issued.sort()
+            launched += issued
+            return end
+
+        return walk
+
+    def _cache_walker(self):
+        """The walk through the cache interface (see :meth:`_spad_walker`).
+        Before a TLB or cache access, which schedules events of its own, it
+        launches the issues that precede it.  Without internal arrays it
+        ends once every cache port is taken, since each access left would
+        be refused before any TLB or cache call.
+        """
+        mem_if = self.mem_if
+        mem_issue = mem_if.issue
+        ports = mem_if.ports
+        internal = mem_if.internal
+        node_array = mem_if._node_array
+        quiet = mem_if.perfect   # accesses that schedule no events
+        launch = self._launch
+        mask = self._key_mask
+        limit = self._fu_limits[_MEM]
+
+        def walk(now, cycle, lane, mem, used, issued, launched, batches):
+            issued.sort()
+            pending = 0
+            upto = issued[0][0] if issued else _NEVER   # next compute key
+            refused = []    # accesses the interface refused, in order
+            end = _NEVER
+            walked = 0
+            for key in mem:
+                node = key & mask
+                if mem_if._ports_used >= ports and not internal:
+                    break
+                walked += 1
+                if upto < key:
+                    while pending < len(issued) and issued[pending][0] < key:
+                        launched.append(issued[pending])
+                        pending += 1
+                    upto = (issued[pending][0] if pending < len(issued)
+                            else _NEVER)
+                if launched and not (quiet or node_array[node] in internal
+                                     or mem_if._ports_used >= ports):
+                    launch(now, launched, batches)
+                status = mem_issue(self, node, cycle)
+                if status == "retry":
+                    refused.append(key)
+                    continue
+                if status != "parked":
+                    launched.append(
+                        (key, status if type(status) is int else None))
+                used[_MEM] += 1
+                if used[_MEM] >= limit:
+                    end = key
+                    break
+            else:
+                if not refused:
+                    end = key   # emptied
+            mem[:walked] = refused
+            launched += issued[pending:]
+            return end
+
+        return walk
+
+    def _launcher(self):
+        """``launch(now, launched, batches)`` starts and clears the
+        ``(key, delay)`` pairs of ``launched`` (``delay`` None: the memory
+        system owns the completion).  Nodes due at one tick share an event;
+        a batch (``batches``: delay -> [nodes, expected queue seq]) takes a
+        node only if no other event was scheduled since its last one.
+        """
+        evq = self._queue
+        schedule = evq.schedule
+        complete_batch = self._complete_batch
+        complete = self.complete_node
+        busy_begin = self.busy.begin
+        mask = self._key_mask
+        node_kind = self._node_kind
+        node_round = self._node_round
+        round_started = self._round_started
+        ii_ticks = self._ii_ticks
+        open_gate = self._open_gate
+
+        def launch(now, launched, batches):
+            if not self._in_flight:
+                busy_begin(now)
+            self._in_flight += len(launched)
+            loads = 0
+            stores = 0
+            for key, delay in launched:
+                node = key & mask
+                if round_started is not None:
+                    # Modulo gating: the first issue of round r anchors
+                    # the gate that opens round r+1 at now + II.
+                    rr = node_round[node]
+                    if rr >= 0 and not round_started[rr]:
+                        round_started[rr] = True
+                        if rr + 1 < len(round_started):
+                            evq.schedule_at(now + ii_ticks, open_gate,
+                                            rr + 1)
+                kind = node_kind[node]
+                if kind == 1:
+                    loads += 1
+                elif kind == 2:
+                    stores += 1
+                if delay is None:
+                    continue
+                if delay > 0:
+                    entry = batches.get(delay)
+                    if entry is not None and entry[1] == evq._seq:
+                        entry[0].append(node)
+                    else:
+                        lst = [node]
+                        seq = evq._seq
+                        schedule(delay, complete_batch, lst)
+                        for e in batches.values():
+                            if e[1] == seq:
+                                e[1] = seq + 1
+                        batches[delay] = [lst, seq + 1]
+                else:
+                    # Zero-delay events live in the tick FIFO, which
+                    # assigns no sequence numbers — unbatchable.
+                    schedule(0, complete, node)
+            self.issued_loads += loads
+            self.issued_stores += stores
+            launched.clear()
+
+        return launch
+
     # -- completion -----------------------------------------------------------
 
     def _complete_batch(self, nodes):
-        """Complete a batch of nodes that share one completion tick.
-
-        Semantically identical to calling :meth:`complete_node` once per
-        node in list order, but locals are bound once per batch and the
-        trailing kick runs once: per-node kicks after the first were
-        no-ops anyway, since the pass for this edge was already pending,
-        and no foreign event can be scheduled mid-batch to care about the
-        kick's sequence position.
+        """Complete, in order, nodes that share one completion tick.  The
+        kick runs once: per-node kicks after the first would be no-ops.
         """
         queue = self._queue
         now = queue.now
@@ -526,15 +608,18 @@ class DatapathScheduler:
         node_lane = self._node_lane
         node_fu = self._node_fu
         ready = self._ready
-        ready_counts = self._ready_counts
-        barriers = self.round_barriers
-        gated = barriers or self._ii_gated
+        lane_ready = self._lane_ready
+        step = self._key_step
+        gated = self.round_barriers or self._ii_gated
         parked = self._round_parked
         remaining = self._round_remaining
         num_rounds = len(remaining)
         completed = self._completed
         num_nodes = self._num_nodes
         finished = False
+        # _enqueue_ready inlined: the next key and the ready count live in
+        # locals, synced around round advances (which enqueue too).
+        key = start_key = self._next_key
         for node in nodes:
             in_flight -= 1
             if in_flight == 0:
@@ -542,7 +627,6 @@ class DatapathScheduler:
             succs = successors[node]
             if succs:
                 current_round = self._current_round
-                num_ready = self._num_ready
                 for succ in succs:
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
@@ -554,19 +638,23 @@ class DatapathScheduler:
                                 parked[r] = [succ]
                         else:
                             lane = node_lane[succ]
-                            ready[lane].append(succ)
-                            ready_counts[lane][node_fu[succ]] += 1
-                            num_ready += 1
-                self._num_ready = num_ready
+                            ready[lane][node_fu[succ]].append(key + succ)
+                            lane_ready[lane] += 1
+                            key += step
             r = node_round[node]
             if r >= 0 and gated:
                 remaining[r] -= 1
                 current = self._current_round
                 if current < num_rounds and remaining[current] == 0:
+                    self._num_ready += (key - start_key) // step
+                    self._next_key = key
                     self._advance_rounds()
+                    key = start_key = self._next_key
             completed += 1
             if completed == num_nodes:
                 finished = True
+        self._num_ready += (key - start_key) // step
+        self._next_key = key
         self._in_flight = in_flight
         self._completed = completed
         if finished:
@@ -581,63 +669,8 @@ class DatapathScheduler:
                 queue.schedule_at(when, self._issue_pass)
 
     def complete_node(self, node):
-        """A node's result is available (called by FUs and the memory system).
-
-        Runs once per node, so ``_make_ready``/``_enqueue_ready``/``_kick``
-        are inlined here — the method versions remain for the cold paths
-        (start, parked-node resume, round advancement).
-        """
-        in_flight = self._in_flight - 1
-        self._in_flight = in_flight
-        if in_flight == 0:
-            self.busy.end(self._queue.now)
-        barriers = self.round_barriers
-        gated = barriers or self._ii_gated
-        current_round = self._current_round
-        succs = self._successors[node]
-        if succs:
-            indegree = self._indegree
-            node_round = self._node_round
-            node_lane = self._node_lane
-            node_fu = self._node_fu
-            ready = self._ready
-            ready_counts = self._ready_counts
-            parked = self._round_parked
-            num_ready = self._num_ready
-            for succ in succs:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    r = node_round[succ]
-                    if gated and r > current_round:
-                        if r in parked:
-                            parked[r].append(succ)
-                        else:
-                            parked[r] = [succ]
-                    else:
-                        lane = node_lane[succ]
-                        ready[lane].append(succ)
-                        ready_counts[lane][node_fu[succ]] += 1
-                        num_ready += 1
-            self._num_ready = num_ready
-        r = self._node_round[node]
-        if r >= 0 and gated:
-            remaining = self._round_remaining
-            remaining[r] -= 1
-            if current_round < len(remaining) and remaining[current_round] == 0:
-                self._advance_rounds()
-        self._completed += 1
-        if self._completed == self._num_nodes:
-            self._finish()
-            return
-        if self._num_ready:
-            queue = self._queue
-            now = queue.now
-            remainder = now % self._period
-            when = now if remainder == 0 else now + (self._period - remainder)
-            pending = self._scheduled_passes
-            if not pending or min(pending) > when:
-                pending.add(when)
-                queue.schedule_at(when, self._issue_pass)
+        """A node's result is available (called by the memory system)."""
+        self._complete_batch((node,))
 
     def _advance_rounds(self):
         while (self._current_round < len(self._round_remaining)
@@ -710,6 +743,8 @@ class SpadInterface:
     Loads and stores hit partitioned SRAM banks with a fixed 1-cycle access,
     subject to per-bank port arbitration.  Arrays registered with full/empty
     bits gate accesses at cache-line granularity for DMA-triggered compute.
+    The scheduler's scratchpad memory walk runs the issue sequence itself,
+    over the per-node plans this interface precomputes.
     """
 
     def __init__(self, sim, clock, spad, ready_bits=None, latency_cycles=1):
@@ -837,44 +872,6 @@ class SpadInterface:
     def new_cycle(self, cycle):
         """Per-cycle reset hook (banks self-arbitrate)."""
         pass  # the scratchpad tracks per-cycle port use itself
-
-    def issue(self, sched, node, cycle):
-        """Try to issue one memory node this cycle.
-
-        Returns ``"retry"``/``"parked"``, or the completion delay in ticks
-        (an int) — the scheduler batches and schedules the completion.
-        """
-        if self._node_plan is None:
-            self.bind(sched)
-        slot_idx, bi, bit, array, offset = self._node_plan[node]
-        if bi > 0:
-            if self._plan_ready[bi][bit]:
-                bi = 0  # data arrived: fall through to the access
-        elif bi < 0:
-            # Out-of-range offset: reproduce the bounds error at issue
-            # time, as the unoptimized path did.
-            self._plan_bits[-bi].is_ready(offset)
-        if bi:
-            self._plan_bits[bi].wait_bit(
-                bit, lambda: sched.resume_parked(node))
-            return "parked"
-        spad = self.spad
-        slot = self._plan_slots[slot_idx]
-        if slot is None:
-            # Unknown array: the slow path raises the ConfigError.
-            spad.try_access(array, 0, cycle)
-        # Scratchpad.try_access inlined against the precomputed bank slot.
-        if slot[0] != cycle:
-            slot[0] = cycle
-            slot[1] = 1
-        elif slot[1] >= self._ports:
-            spad.conflicts += 1
-            return "retry"
-        else:
-            slot[1] += 1
-        spad.accesses += 1
-        self._access_by_array[array] += 1
-        return self._latency_ticks
 
 
 class CacheInterface:

@@ -48,8 +48,8 @@ def _audit_cache(leaks, name, cache):
 def _audit_scheduler(leaks, name, sched):
     """Datapath scheduler: finished, nothing in flight, queued or parked.
 
-    The ready audit inspects the *actual* per-lane queues, not just the
-    ``_num_ready`` counter: with round barriers off (or modulo-gated)
+    The ready audit inspects the *actual* per-lane ready buckets, not just
+    the ``_num_ready`` counter: with round barriers off (or modulo-gated)
     a wedged pipelined schedule can strand nodes in the lane queues, and
     a counter bug could report zero while queues still hold work.  Both
     the stranded nodes and any counter drift are separate findings.
@@ -60,7 +60,7 @@ def _audit_scheduler(leaks, name, sched):
     if sched._in_flight:
         _leak(leaks, name, "nodes_in_flight",
               f"{sched._in_flight} node(s) still in flight")
-    queued = sum(len(lane_queue) for lane_queue in sched._ready)
+    queued = sum(len(bucket) for lane in sched._ready for bucket in lane)
     if queued:
         _leak(leaks, name, "nodes_ready_unissued",
               f"{queued} ready node(s) never issued")

@@ -95,7 +95,7 @@ class TestSchedulerQueueAudit:
         checker = Checker()
         soc = SoC("aes-aes", small_dma(), check=checker)
         soc.run()
-        soc.scheduler._ready[0].append(0)
+        soc.scheduler._ready[0][0].append(0)
         soc.scheduler._num_ready += 1
         with pytest.raises(LeakError, match="nodes_ready_unissued"):
             checker.audit()
@@ -107,7 +107,7 @@ class TestSchedulerQueueAudit:
         checker = Checker()
         soc = SoC("aes-aes", small_dma(), check=checker)
         soc.run()
-        soc.scheduler._ready[0].append(0)  # counter left at 0
+        soc.scheduler._ready[0][0].append(0)  # counter left at 0
         with pytest.raises(LeakError) as exc:
             checker.audit()
         kinds = {leak["kind"] for leak in exc.value.leaks}

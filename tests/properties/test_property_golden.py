@@ -5,7 +5,11 @@ completion batching, memoized construction tables) is required to be a
 pure performance change: every simulation statistic must be *bit
 identical* to the unoptimized simulator.  ``golden_runs.json`` was
 captured before the overhaul; these tests re-run all nine
-(workload x design) pairs and compare canonical JSON bytes.
+(workload x design) pairs and compare canonical JSON bytes.  The
+``PINNED`` designs (bank-conflict-heavy DMA points, ``off`` and modulo
+pipelining, a 1-port cache modulo point) were captured before the
+resource-bucketed issue pass: they hold its arithmetic conflict
+counters to the per-node scan's.
 
 A legitimate modeling change that moves numbers must regenerate the
 goldens (``PYTHONPATH=src python -m tests.properties._golden``) and say
@@ -16,6 +20,7 @@ import pytest
 
 from tests.properties._golden import (
     DESIGNS,
+    PINNED,
     WORKLOADS,
     canonical,
     load_golden,
@@ -38,6 +43,16 @@ def test_run_matches_golden_bytes(workload, design_key):
         f"{key}: simulation stats diverged from the golden snapshot — "
         f"an optimization changed observable behavior"
     )
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pinned_run_matches_golden_bytes(key):
+    assert key in GOLDEN, f"missing golden entry {key}; regenerate goldens"
+    workload, design = PINNED[key]
+    current = canonical(snapshot(run_design(workload, design)))
+    assert current == canonical(GOLDEN[key]), (
+        f"{key}: conflict counters or schedule diverged from the golden "
+        f"snapshot")
 
 
 def test_golden_file_is_canonical():
