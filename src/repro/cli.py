@@ -56,10 +56,10 @@ import sys
 from contextlib import contextmanager
 
 from repro.core.config import DesignPoint, SoCConfig
-from repro.core.pareto import edp_optimal, pareto_frontier
+from repro.core.pareto import reducible, sweep_pareto
 from repro.core.reporting import breakdown_table, format_table, pareto_table, percent
 from repro.core.soc import run_design
-from repro.core.sweep import cache_design_space, dma_design_space, run_sweep
+from repro.core.sweep import cache_design_space, dma_design_space
 from repro.workloads import cached_ddg, get_workload, workload_names
 
 
@@ -441,27 +441,22 @@ def _add_fidelity_args(parser):
                              "calibration's validated error bound)")
 
 
-def sweep_engine_from_args(args):
-    """(parallel, cache_dir) for run_sweep from parsed CLI arguments."""
+def sweep_options_from_args(args):
+    """``run_sweep`` keywords from parsed sweep-engine (and fidelity) flags."""
     from repro.core.sweeppool import DEFAULT_CACHE_DIR
-    parallel = args.jobs if args.jobs != 1 else None
-    if args.no_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    return parallel, cache_dir
-
-
-def sweep_robustness_from_args(args):
-    """Robust-engine kwargs for run_sweep from parsed CLI arguments."""
     if args.resume and args.no_cache:
         raise SystemExit("--resume needs the sweep cache; drop --no-cache")
-    return {
+    options = {
+        "parallel": args.jobs if args.jobs != 1 else None,
+        "cache_dir": (None if args.no_cache
+                      else args.cache_dir or DEFAULT_CACHE_DIR),
         "on_error": args.on_error,
         "retries": args.retries,
         "timeout": args.timeout,
-        "resume": args.resume,
     }
+    if hasattr(args, "fidelity"):
+        options.update(fidelity=args.fidelity, guard_band=args.guard_band)
+    return options
 
 
 def design_from_args(args):
@@ -693,7 +688,7 @@ def cmd_sweep(args, out):
     from repro.core.sweeppool import SweepMetrics
     _resolve_workload(args)
     cfg = config_from_args(args)
-    parallel, cache_dir = sweep_engine_from_args(args)
+    sweep = sweep_options_from_args(args)
     metrics = SweepMetrics()
     profiler = None
     if args.profile:
@@ -711,48 +706,33 @@ def cmd_sweep(args, out):
     # resolution to each run_design call, and worker processes inherit the
     # variable.
     checker = _checker_from_args(args) if args.check else None
-    robust = sweep_robustness_from_args(args)
     if args.profile or args.dump_stats or checker is not None:
         if args.fidelity != "exact":
             raise SystemExit("--fidelity fast/auto is incompatible with "
                              "--profile/--dump-stats/--check: the fast "
                              "tier runs no events to profile, dump or "
                              "check")
-        parallel, cache_dir = None, None
-        # The in-process diagnostic sweep fills metrics too, but cannot resume
-        # (no cache) or enforce a per-point timeout (no workers).
-        robust["resume"] = False
-        robust["timeout"] = None
+        # The in-process diagnostic sweep runs uncached, so it has no
+        # manifest to resume from.
+        sweep["cache_dir"] = None
     dma_space = dma_design_space(args.density)
     cache_space = cache_design_space(args.density)
-    calibration = _calibration_for_sweep(args, cfg, parallel, cache_dir,
-                                         out)
-    if args.resume and cache_dir is not None:
-        _print_resume_summary(out, args.workload, cfg, cache_dir,
+    calibration = _calibration_for_sweep(args, cfg, sweep, out)
+    if args.resume and sweep["cache_dir"] is not None:
+        _print_resume_summary(out, args.workload, cfg, sweep["cache_dir"],
                               [("DMA", dma_space), ("cache", cache_space)])
-    dma = run_sweep(args.workload, dma_space, cfg,
-                    parallel=parallel, cache_dir=cache_dir, metrics=metrics,
-                    profiler=profiler, dump_stats=dump_dma, check=checker,
-                    fidelity=args.fidelity, calibration=calibration,
-                    guard_band=args.guard_band, **robust)
-    cache = run_sweep(args.workload, cache_space, cfg,
-                      parallel=parallel, cache_dir=cache_dir,
-                      metrics=metrics, profiler=profiler,
-                      dump_stats=dump_cache, check=checker,
-                      fidelity=args.fidelity, calibration=calibration,
-                      guard_band=args.guard_band, **robust)
-    from repro.core.sweeppool import partition_results
-    dma_ok, dma_failed = partition_results(dma)
-    cache_ok, cache_failed = partition_results(cache)
-    failed = dma_failed + cache_failed
-    if args.fidelity == "auto":
-        # Frontiers/optima over exact-confirmed points only; the triage
-        # guarantees the pruned (fast) points are dominated.
-        dma_ok = [r for r in dma_ok if r.fidelity == "exact"]
-        cache_ok = [r for r in cache_ok if r.fidelity == "exact"]
+    dma_front, best_dma, dma = sweep_pareto(
+        args.workload, dma_space, cfg, metrics=metrics, profiler=profiler,
+        dump_stats=dump_dma, check=checker, calibration=calibration,
+        **sweep)
+    cache_front, best_cache, cache = sweep_pareto(
+        args.workload, cache_space, cfg, metrics=metrics, profiler=profiler,
+        dump_stats=dump_cache, check=checker, calibration=calibration,
+        **sweep)
+    failed = [r for r in dma + cache if getattr(r, "is_failure", False)]
     if args.json or args.csv:
         from repro.core.export import results_to_csv, results_to_json
-        ok = dma_ok + cache_ok
+        ok = reducible(dma + cache, args.fidelity)
         if args.json:
             results_to_json(ok, args.json)
             out(f"wrote {len(ok)} design points to {args.json}")
@@ -760,13 +740,10 @@ def cmd_sweep(args, out):
             results_to_csv(ok, args.csv)
             out(f"wrote {len(ok)} design points to {args.csv}")
     tag = " (predicted)" if args.fidelity == "fast" else ""
-    out(pareto_table(pareto_frontier(dma_ok),
-                     f"DMA Pareto frontier{tag}:"))
+    out(pareto_table(dma_front, f"DMA Pareto frontier{tag}:"))
     out("")
-    out(pareto_table(pareto_frontier(cache_ok),
-                     f"cache Pareto frontier{tag}:"))
-    if dma_ok and cache_ok:
-        best_dma, best_cache = edp_optimal(dma_ok), edp_optimal(cache_ok)
+    out(pareto_table(cache_front, f"cache Pareto frontier{tag}:"))
+    if best_dma is not None and best_cache is not None:
         out("")
         out(f"DMA   EDP optimum: {best_dma.design!r}  "
             f"edp={best_dma.edp:.3e}")
@@ -798,11 +775,12 @@ def cmd_sweep(args, out):
     return 0
 
 
-def _calibration_for_sweep(args, cfg, parallel, cache_dir, out):
+def _calibration_for_sweep(args, cfg, sweep, out):
     """Load (or fit on the spot) the calibration a fast/auto sweep needs."""
     if args.fidelity == "exact":
         return None
     from repro.core.calibrate import Calibration, calibrate_workload
+    cache_dir = sweep["cache_dir"]
     calibration = None
     if cache_dir is not None:
         calibration = Calibration.load(cache_dir, args.workload, cfg)
@@ -813,7 +791,7 @@ def _calibration_for_sweep(args, cfg, parallel, cache_dir, out):
         calibration = calibrate_workload(args.workload, cfg,
                                          density=args.density,
                                          cache_dir=cache_dir,
-                                         parallel=parallel)
+                                         parallel=sweep["parallel"])
     return calibration
 
 
@@ -842,7 +820,8 @@ def cmd_calibrate(args, out):
     from repro.core.calibrate import calibrate_workload
     from repro.core.sweeppool import SweepMetrics
     _load_kernel_files(args)
-    parallel, cache_dir = sweep_engine_from_args(args)
+    sweep = sweep_options_from_args(args)
+    cache_dir = sweep["cache_dir"]
     available = workload_names()
     unknown = [w for w in args.workloads if w not in available]
     if unknown:
@@ -851,7 +830,8 @@ def cmd_calibrate(args, out):
     metrics = SweepMetrics()
     for workload in args.workloads:
         cal = calibrate_workload(workload, density=args.density,
-                                 cache_dir=cache_dir, parallel=parallel,
+                                 cache_dir=cache_dir,
+                                 parallel=sweep["parallel"],
                                  metrics=metrics)
         rows = [[key, str(fit.samples), percent(fit.time_error_max),
                  percent(fit.power_error_max), "ok"]
@@ -979,12 +959,8 @@ def cmd_figure(args, out):
     """``repro figure``: regenerate one paper figure."""
     from repro.core import figures
     from repro.core.sweeppool import SweepMetrics
-    parallel, cache_dir = sweep_engine_from_args(args)
-    robust = sweep_robustness_from_args(args)
     metrics = SweepMetrics()
-    figures.set_sweep_options(parallel=parallel, cache_dir=cache_dir,
-                              metrics=metrics, fidelity=args.fidelity,
-                              guard_band=args.guard_band, **robust)
+    figures.set_sweep_options(metrics=metrics, **sweep_options_from_args(args))
     try:
         fn = getattr(figures, args.name)
         if args.name in ("fig1", "fig8", "fig9", "fig10"):

@@ -791,9 +791,8 @@ def _fit_class(workload, samples, results, cfg, cal):
 
 
 def calibrate_workload(workload, cfg=None, density="standard",
-                       designs=None, cache_dir=None, parallel=None,
-                       metrics=None, progress=None, save=True,
-                       executor=None):
+                       designs=None, cache_dir=None, progress=None,
+                       save=True, **sweep):
     """Calibrate the fast model for one workload against exact simulation.
 
     Samples a handful of exact runs per design class (corners, centre and
@@ -815,6 +814,8 @@ def calibrate_workload(workload, cfg=None, density="standard",
     with a ``cache_dir`` they land in the regular sweep result cache —
     a subsequent ``auto`` sweep confirms those points for free.  Returns
     the :class:`Calibration` (persisted under ``cache_dir`` when ``save``).
+    ``progress`` reports the compute tabulation, then each class's sample
+    sweep; other keywords go to ``run_sweep``.
     """
     from repro.core.sweep import cache_design_space, dma_design_space
     from repro.core.sweep import run_sweep
@@ -839,9 +840,8 @@ def calibrate_workload(workload, cfg=None, density="standard",
     rejected = {}
     for class_key in sorted(class_grids):
         samples = _sample_designs(class_key, class_grids[class_key])
-        results = run_sweep(workload, samples, cfg, parallel=parallel,
-                            cache_dir=cache_dir, metrics=metrics,
-                            executor=executor)
+        results = run_sweep(workload, samples, cfg, cache_dir=cache_dir,
+                            progress=progress, **sweep)
         fit = _fit_class(workload, samples, results, cfg, cal)
         if max(fit.time_error_max, fit.power_error_max) > MAX_FIT_ERROR:
             rejected[class_key] = fit
@@ -922,22 +922,20 @@ def prune_dominated(fast_results, candidates, exact_points, guard_band):
 
 def run_sweep_tiered(workload, designs, cfg=None, fidelity="auto",
                      calibration=None, guard_band=None, progress=None,
-                     parallel=None, cache_dir=None, metrics=None,
-                     on_error="raise", retries=0, retry_backoff=0.0,
-                     timeout=None, resume=False, fault=None, executor=None,
-                     write_manifest=True):
+                     metrics=None, **pool):
     """Evaluate a design space with the calibrated fast tier.
 
     ``fidelity="fast"`` predicts every point analytically (no simulation).
     ``"auto"`` runs confirm-and-prune rounds: each round evaluates the
-    predicted Pareto frontier of the remaining candidates exactly (via
-    :func:`repro.core.sweep.run_sweep`, honouring the parallel/cache/
-    robustness knobs), then prunes every candidate whose optimistic
-    prediction (``pred / (1 + guard_band)``) is dominated by a confirmed
-    exact point.  Exact results replace the fast predictions for
-    confirmed points, so the returned list mixes fidelities but keeps
-    input order.  Measured fast-vs-exact errors and pruned/confirmed
-    counts land in ``metrics``.
+    predicted Pareto frontier of the remaining candidates exactly, then
+    prunes every candidate whose optimistic prediction (``pred / (1 +
+    guard_band)``) is dominated by a confirmed exact point.  Exact
+    results replace the fast predictions for confirmed points, so the
+    returned list mixes fidelities but keeps input order.  Measured
+    fast-vs-exact errors and pruned/confirmed counts land in ``metrics``.
+    Other keywords go to :func:`repro.core.sweeppool.run_sweep_pool`
+    (``jobs`` spelling) for the confirm rounds; a persisted calibration
+    is looked up under its ``cache_dir``.
 
     ``guard_band`` is the assumed maximum relative error of the fast
     model — a scalar or a ``(time_band, power_band)`` pair (default: the
@@ -945,14 +943,13 @@ def run_sweep_tiered(workload, designs, cfg=None, fidelity="auto",
     long as it really bounds the error, the exact-confirmed frontier and
     EDP optimum are identical to a full exact sweep's.
     """
-    from repro.core.sweep import run_sweep
-    from repro.core.sweeppool import SweepMetrics
+    from repro.core.sweeppool import SweepMetrics, run_sweep_pool
     cfg = cfg or SoCConfig()
     if fidelity not in ("fast", "auto"):
         raise ValueError(f'fidelity must be "fast" or "auto" here, '
                          f'got {fidelity!r}')
-    if calibration is None and cache_dir:
-        calibration = Calibration.load(cache_dir, workload, cfg)
+    if calibration is None and pool.get("cache_dir"):
+        calibration = Calibration.load(pool["cache_dir"], workload, cfg)
     if calibration is None:
         raise CalibrationError(
             f"no calibration for {workload!r} (fidelity={fidelity!r}); "
@@ -997,12 +994,8 @@ def run_sweep_tiered(workload, designs, cfg=None, fidelity="auto",
     confirmed = 0
     while remaining:
         batch = predicted_frontier(fast, remaining)
-        exact = run_sweep(workload, [designs[i] for i in batch], cfg,
-                          parallel=parallel, cache_dir=cache_dir,
-                          metrics=metrics, on_error=on_error,
-                          retries=retries, retry_backoff=retry_backoff,
-                          timeout=timeout, resume=resume, fault=fault,
-                          executor=executor, write_manifest=write_manifest)
+        exact = run_sweep_pool(workload, [designs[i] for i in batch], cfg,
+                               metrics=metrics, **pool)
         start = time.perf_counter()
         for i, result in zip(batch, exact):
             results[i] = result

@@ -30,7 +30,6 @@ looked up through the module at call time, so tests that stub
 keep working.
 """
 
-import time
 import traceback as _traceback
 import warnings
 
@@ -47,12 +46,12 @@ class ExecutionPlan:
     """
 
     __slots__ = ("workload", "designs", "cfg", "pending", "faults",
-                 "retries", "retry_backoff", "timeout", "robust",
-                 "metrics", "finish", "fail")
+                 "retries", "timeout", "robust", "metrics", "finish",
+                 "fail")
 
     def __init__(self, workload, designs, cfg=None, pending=None,
-                 faults=None, retries=0, retry_backoff=0.0, timeout=None,
-                 robust=False, metrics=None, finish=None, fail=None):
+                 faults=None, retries=0, timeout=None, robust=False,
+                 metrics=None, finish=None, fail=None):
         if metrics is None:
             from repro.core.sweeppool import SweepMetrics
             metrics = SweepMetrics()
@@ -63,7 +62,6 @@ class ExecutionPlan:
                         else [(i, 1) for i in range(len(designs))])
         self.faults = faults or {}
         self.retries = retries
-        self.retry_backoff = retry_backoff
         self.timeout = timeout
         self.robust = robust
         self.metrics = metrics
@@ -137,8 +135,6 @@ class InlineExecutor(Executor):
                         raise
                     if attempt <= plan.retries:
                         plan.metrics.retries += 1
-                        if plan.retry_backoff > 0.0:
-                            time.sleep(plan.retry_backoff * attempt)
                         attempt += 1
                         continue
                     plan.fail(index, attempt, "error", repr(exc),

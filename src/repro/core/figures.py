@@ -20,15 +20,16 @@ Figure index (see DESIGN.md section 3):
 """
 
 from repro.core.config import DesignPoint, SoCConfig
-from repro.core.pareto import edp_optimal, pareto_frontier
+from repro.core.pareto import edp_optimal, pareto_frontier, reducible
 from repro.core.scenarios import (
     SCENARIOS,
     edp_improvement,
+    isolated_sweep,
     run_isolated,
 )
 from repro.core.soc import run_design
 from repro.core.sweep import (
-    cache_design_space,
+    check_sweep_options,
     dma_design_space,
     ii_design_space,
     run_sweep,
@@ -45,77 +46,34 @@ FIG7_WORKLOADS = ["gemm-ncubed", "stencil-stencil3d", "md-knn", "spmv-crs",
 
 _memo = {}
 
-# Process-wide sweep execution options (worker pool + on-disk memo cache +
-# robustness knobs), consumed by every figure that runs a design-space
-# sweep.  Configured by the CLI's --jobs/--no-cache/--on-error flags and
-# the benchmark harness.
-_sweep_options = {"parallel": None, "cache_dir": None, "metrics": None,
-                  "on_error": "raise", "retries": 0, "timeout": None,
-                  "resume": False, "fidelity": "exact", "guard_band": None,
-                  "executor": None}
+# Process-wide ``run_sweep`` keywords (worker pool, on-disk memo cache,
+# robustness, fidelity) for every figure that runs a design-space sweep.
+# Configured by the CLI's --jobs/--no-cache/--on-error flags and the
+# benchmark harness.
+_sweep_options = {}
 
 
-def set_sweep_options(parallel=None, cache_dir=None, metrics=None,
-                      on_error="raise", retries=0, timeout=None,
-                      resume=False, fidelity="exact", guard_band=None,
-                      executor=None):
-    """Configure how figure sweeps execute (see :mod:`repro.core.sweeppool`).
+def set_sweep_options(**sweep):
+    """Configure how figure sweeps execute: keywords as for ``run_sweep``.
 
-    ``parallel`` is the worker count (``0`` = one per CPU, ``None`` =
-    serial), ``cache_dir`` the on-disk memo cache root, and ``metrics`` an
-    optional :class:`~repro.core.sweeppool.SweepMetrics` that accumulates
-    counters across every sweep the figures run.  ``on_error``/``retries``
-    / ``timeout`` / ``resume`` select the robust engine; with
-    ``on_error="collect"`` the figures drop failed points and compute over
-    the survivors (every figure reduces sweeps with Pareto/EDP optima, so
-    a missing point degrades the figure rather than aborting it).
-
-    ``fidelity``/``guard_band`` select the simulation tier (see
-    :mod:`repro.core.calibrate`); ``"auto"`` needs per-workload
-    calibrations persisted under ``cache_dir`` (``repro calibrate``).
-    ``executor`` overrides where points evaluate (see
-    :mod:`repro.core.executors`).
+    Replaces the previous options; no arguments restores the defaults.
+    An unknown keyword raises TypeError here.  With
+    ``on_error="collect"`` the figures drop failed points and compute
+    over the survivors (every figure reduces sweeps with Pareto/EDP
+    optima, so a missing point degrades the figure rather than aborting
+    it); ``fidelity="auto"`` needs per-workload calibrations persisted
+    under ``cache_dir`` (``repro calibrate``).
     """
-    _sweep_options["parallel"] = parallel
-    _sweep_options["cache_dir"] = cache_dir
-    _sweep_options["metrics"] = metrics
-    _sweep_options["on_error"] = on_error
-    _sweep_options["retries"] = retries
-    _sweep_options["timeout"] = timeout
-    _sweep_options["resume"] = resume
-    _sweep_options["fidelity"] = fidelity
-    _sweep_options["guard_band"] = guard_band
-    _sweep_options["executor"] = executor
+    check_sweep_options(sweep)
+    _sweep_options.clear()
+    _sweep_options.update(sweep)
 
 
 def _sweep(workload, designs, cfg=None):
-    """One design-space sweep under the configured execution options.
-
-    Under ``on_error="collect"`` the failed points are filtered out here:
-    figure code consumes results positionally only through Pareto/EDP
-    reductions, which want successes.  Under ``fidelity="auto"`` the
-    unconfirmed fast predictions are filtered the same way — the triage
-    guarantees the dropped points are Pareto-dominated, so the figures'
-    frontier/EDP reductions are unchanged.
-    """
-    results = run_sweep(workload, designs, cfg,
-                        parallel=_sweep_options["parallel"],
-                        cache_dir=_sweep_options["cache_dir"],
-                        metrics=_sweep_options["metrics"],
-                        on_error=_sweep_options["on_error"],
-                        retries=_sweep_options["retries"],
-                        timeout=_sweep_options["timeout"],
-                        resume=_sweep_options["resume"],
-                        fidelity=_sweep_options["fidelity"],
-                        guard_band=_sweep_options["guard_band"],
-                        executor=_sweep_options["executor"])
-    if _sweep_options["on_error"] == "collect":
-        from repro.core.sweeppool import partition_results
-        results, _failed = partition_results(results)
-    if _sweep_options["fidelity"] == "auto":
-        results = [r for r in results
-                   if getattr(r, "fidelity", "exact") == "exact"]
-    return results
+    """One design-space sweep under the configured options, reduced to
+    the :func:`~repro.core.pareto.reducible` results the figures use."""
+    results = run_sweep(workload, designs, cfg, **_sweep_options)
+    return reducible(results, _sweep_options.get("fidelity", "exact"))
 
 
 def _memoized(key, fn):
@@ -273,10 +231,8 @@ def fig8(workloads=None, density="standard"):
     workloads = workloads or CORE_EIGHT
     out = {}
     for w in workloads:
-        dma = _memoized(("sweep", w, "dma32", density), lambda w=w:
-                        _sweep(w, dma_design_space(density)))
-        cache = _memoized(("sweep", w, "cache32", density), lambda w=w:
-                          _sweep(w, cache_design_space(density)))
+        dma = _scenario_sweep(w, "dma32", density)
+        cache = _scenario_sweep(w, "cache32", density)
         out[w] = {
             "dma": dma,
             "cache": cache,
@@ -288,31 +244,28 @@ def fig8(workloads=None, density="standard"):
     return out
 
 
+def _scenario_sweep(workload, key, density):
+    """``SCENARIOS[key]``'s sweep, memoized per process.
+
+    fig8 and :func:`scenario_optima` share these results, so running
+    fig8 -> fig9 -> fig10 in one process sweeps each design space once.
+    """
+    scenario = SCENARIOS[key]
+    return _memoized(("sweep", workload, key, density), lambda: _sweep(
+        workload, scenario.design_space(density), scenario.soc_config()))
+
+
 # -- Figures 9 and 10 ---------------------------------------------------------
 
 def scenario_optima(workload, density="standard"):
-    """EDP optima of all four scenarios for one workload.
-
-    Shares sweep results with fig8 through the process-level memo, so
-    running fig8 -> fig9 -> fig10 in one process sweeps each design space
-    once.
-    """
+    """EDP optima of all four scenarios for one workload."""
     def compute():
-        from repro.core.scenarios import isolated_sweep
-        cfg64 = SoCConfig(bus_width_bits=64)
-        dma = _memoized(("sweep", workload, "dma32", density), lambda:
-                        _sweep(workload, dma_design_space(density)))
-        cache32 = _memoized(("sweep", workload, "cache32", density), lambda:
-                            _sweep(workload, cache_design_space(density)))
-        cache64 = _memoized(("sweep", workload, "cache64", density), lambda:
-                            _sweep(workload, cache_design_space(density),
-                                   cfg64))
-        return {
-            "isolated": edp_optimal(isolated_sweep(workload, density)),
-            "dma32": edp_optimal(dma),
-            "cache32": edp_optimal(cache32),
-            "cache64": edp_optimal(cache64),
-        }
+        optima = {"isolated": edp_optimal(isolated_sweep(workload,
+                                                         density))}
+        for key in ("dma32", "cache32", "cache64"):
+            optima[key] = edp_optimal(_scenario_sweep(workload, key,
+                                                      density))
+        return optima
     return _memoized(("optima", workload, density), compute)
 
 

@@ -36,40 +36,34 @@ def dominates(a, b, x=lambda r: r.total_ticks, y=lambda r: r.power_mw):
             and (x(a) < x(b) or y(a) < y(b)))
 
 
-def sweep_pareto(workload, designs, cfg=None, parallel=None, cache_dir=None,
-                 metrics=None, on_error="raise", retries=0, timeout=None,
-                 resume=False, fidelity="exact", calibration=None,
-                 guard_band=None, executor=None):
+def reducible(results, fidelity="exact"):
+    """The part of a sweep's results that frontiers and optima reduce over.
+
+    Drops :class:`~repro.core.sweeppool.FailedPoint` entries; under
+    ``fidelity="auto"`` also the unconfirmed fast predictions — the
+    triage guarantees those are Pareto-dominated, so the frontier and
+    the EDP optimum over the rest match a full exact sweep's.
+    """
+    return [r for r in results
+            if not getattr(r, "is_failure", False)
+            and (fidelity != "auto"
+                 or getattr(r, "fidelity", "exact") == "exact")]
+
+
+def sweep_pareto(workload, designs, cfg=None, fidelity="exact", **sweep):
     """Sweep a design space and reduce it to its Pareto view.
 
-    Runs the sweep through :func:`repro.core.sweep.run_sweep` (parallel
-    and/or memoized when ``parallel``/``cache_dir`` are given; robust when
-    ``on_error``/``retries``/``timeout``/``resume`` are) and returns
-    ``(frontier, edp_optimum, all_results)`` — the shape Figures 1 and 8
-    and the CLI's sweep command consume.  Under ``on_error="collect"``
-    the frontier and optimum are computed over the successful points only;
-    ``all_results`` keeps the :class:`~repro.core.sweeppool.FailedPoint`
-    entries in input order, and a sweep with zero successes raises
-    ``ValueError``.
-
-    ``fidelity`` picks the simulation tier (see
-    :mod:`repro.core.calibrate`).  Under ``"auto"`` the frontier and the
-    EDP optimum are computed over the exact-confirmed points only — the
-    triage guarantees those match a full exact sweep's as long as the
-    guard band really bounds the fast model's error — while
-    ``all_results`` keeps the pruned points' fast predictions (their
-    ``.fidelity`` is ``"fast"``).  Under ``"fast"`` everything is a
-    prediction, frontier included.
+    Runs :func:`repro.core.sweep.run_sweep` and returns ``(frontier,
+    edp_optimum, all_results)`` — the shape Figures 1 and 8 and the
+    CLI's sweep command consume.  The frontier and optimum cover the
+    :func:`reducible` results only (``edp_optimum`` is ``None`` when
+    no point succeeded); ``all_results`` keeps every entry in input
+    order — :class:`~repro.core.sweeppool.FailedPoint` entries under
+    ``on_error="collect"`` and, under ``fidelity="auto"``, the pruned
+    points' fast predictions.  Under ``"fast"`` everything is a
+    prediction, frontier included.  Other keywords go to ``run_sweep``.
     """
     from repro.core.sweep import run_sweep
-    from repro.core.sweeppool import partition_results
-    results = run_sweep(workload, designs, cfg, parallel=parallel,
-                        cache_dir=cache_dir, metrics=metrics,
-                        on_error=on_error, retries=retries, timeout=timeout,
-                        resume=resume, fidelity=fidelity,
-                        calibration=calibration, guard_band=guard_band,
-                        executor=executor)
-    ok, _failed = partition_results(results)
-    if fidelity == "auto":
-        ok = [r for r in ok if getattr(r, "fidelity", "exact") == "exact"]
-    return pareto_frontier(ok), edp_optimal(ok), results
+    results = run_sweep(workload, designs, cfg, fidelity=fidelity, **sweep)
+    ok = reducible(results, fidelity)
+    return pareto_frontier(ok), (edp_optimal(ok) if ok else None), results

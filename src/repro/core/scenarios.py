@@ -18,13 +18,9 @@ memory bandwidth.
 from repro.aladdin.accelerator import Accelerator
 from repro.core.config import DesignPoint, PARAMETER_TABLE, SoCConfig
 from repro.core.metrics import RunResult
-from repro.core.pareto import edp_optimal
+from repro.core.pareto import edp_optimal, sweep_pareto
 from repro.core.soc import run_design
-from repro.core.sweep import (
-    cache_design_space,
-    dma_design_space,
-    run_sweep,
-)
+from repro.core.sweep import cache_design_space, dma_design_space
 from repro.workloads import cached_ddg, cached_trace
 
 
@@ -92,39 +88,25 @@ def isolated_sweep(workload, density="standard"):
 
 
 def run_scenario_optimum(workload, scenario, density="standard",
-                         base_cfg=None, parallel=None, cache_dir=None,
-                         on_error="raise", retries=0, timeout=None,
-                         fidelity="exact", calibration=None,
-                         guard_band=None):
+                         base_cfg=None, **sweep):
     """Sweep the scenario's design space; return (optimum, all results).
 
-    ``parallel``/``cache_dir`` select the pooled / memoized sweep engine
-    (:mod:`repro.core.sweeppool`) for the detailed-simulation scenarios;
-    ``on_error``/``retries``/``timeout`` its robustness layer.  Under
-    ``on_error="collect"`` the optimum is taken over the successful points
-    (the returned results list still carries the
-    :class:`~repro.core.sweeppool.FailedPoint` entries in input order).
-
-    ``fidelity`` selects the simulation tier for the detailed-simulation
-    scenarios (see :mod:`repro.core.calibrate`; the isolated scenario is
-    already analytic and ignores it).  Under ``"auto"`` the optimum is
-    taken over the exact-confirmed points only — dominance implies
-    strictly better EDP, so the triage preserves the true EDP optimum.
+    The optimum is taken over :func:`repro.core.pareto.reducible`
+    results (failures and unconfirmed fast predictions dropped; the
+    returned list keeps them in input order).  The isolated scenario is
+    already analytic and ignores ``sweep``; other keywords go to
+    ``run_sweep``.
     """
     if scenario.mem_interface == "isolated":
         results = isolated_sweep(workload, density)
-    else:
-        cfg = scenario.soc_config(base_cfg)
-        results = run_sweep(workload, scenario.design_space(density), cfg,
-                            parallel=parallel, cache_dir=cache_dir,
-                            on_error=on_error, retries=retries,
-                            timeout=timeout, fidelity=fidelity,
-                            calibration=calibration, guard_band=guard_band)
-    from repro.core.sweeppool import partition_results
-    ok, _failed = partition_results(results)
-    if fidelity == "auto":
-        ok = [r for r in ok if getattr(r, "fidelity", "exact") == "exact"]
-    return edp_optimal(ok), results
+        return edp_optimal(results), results
+    _frontier, optimum, results = sweep_pareto(
+        workload, scenario.design_space(density),
+        scenario.soc_config(base_cfg), **sweep)
+    if optimum is None:
+        raise ValueError(f"no {scenario.key} design point of {workload} "
+                         f"succeeded")
+    return optimum, results
 
 
 def naive_design_for(workload, isolated_design, scenario):
@@ -153,19 +135,14 @@ def naive_design_for(workload, isolated_design, scenario):
 
 def edp_improvement(workload, scenario, density="standard", base_cfg=None,
                     isolated_optimum=None, codesigned_optimum=None,
-                    parallel=None, cache_dir=None, on_error="raise",
-                    retries=0, timeout=None, fidelity="exact",
-                    calibration=None, guard_band=None):
+                    **sweep):
     """Figure 10's metric for one (workload, scenario) pair.
 
     Returns a dict with the naive EDP (isolated-optimal design under the
     scenario's system), the co-designed EDP (scenario optimum), and their
     ratio (improvement; > 1 means co-design wins).  Precomputed optima can
-    be passed in to reuse sweep work; ``parallel``/``cache_dir`` select
-    the pooled / memoized sweep engine when a sweep is needed, and
-    ``on_error``/``retries``/``timeout`` its robustness layer.
-    ``fidelity`` selects the sweep's simulation tier (the naive point is
-    always simulated exactly — it is a single run).
+    be passed in to reuse sweep work.  The naive point is a single exact
+    run; other keywords go to ``run_sweep`` for the scenario sweep.
     """
     if isolated_optimum is None:
         isolated_optimum, _ = run_scenario_optimum(
@@ -177,10 +154,7 @@ def edp_improvement(workload, scenario, density="standard", base_cfg=None,
         codesigned, results = codesigned_optimum, []
     else:
         codesigned, results = run_scenario_optimum(
-            workload, scenario, density, base_cfg,
-            parallel=parallel, cache_dir=cache_dir, on_error=on_error,
-            retries=retries, timeout=timeout, fidelity=fidelity,
-            calibration=calibration, guard_band=guard_band)
+            workload, scenario, density, base_cfg, **sweep)
     # The co-design space is a superset of the naive point, but a
     # sub-sampled sweep grid may miss it; the optimum over the union keeps
     # the metric well defined (improvement >= 1 by construction).

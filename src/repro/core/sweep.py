@@ -13,6 +13,7 @@ Sweeps can run in parallel and/or memoized on disk — pass ``parallel=`` /
 ``cache_dir=`` to :func:`run_sweep` (engine: :mod:`repro.core.sweeppool`).
 """
 
+import inspect
 import json
 import os
 
@@ -90,29 +91,19 @@ def cache_design_space(density="standard"):
     ]
 
 
-def run_sweep(workload, designs, cfg=None, progress=None, parallel=None,
-              cache_dir=None, metrics=None, profiler=None, dump_stats=None,
-              check=None, on_error="raise", retries=0, retry_backoff=0.0,
-              timeout=None, resume=False, fault=None, fidelity="exact",
-              calibration=None, guard_band=None, executor=None,
-              write_manifest=True):
+def run_sweep(workload, designs, cfg=None, *, parallel=None,
+              fidelity="exact", calibration=None, guard_band=None,
+              profiler=None, dump_stats=None, check=None, **engine):
     """Evaluate every design point; returns the list of RunResults.
 
     ``parallel`` fans the evaluations out over a worker pool (``N`` workers;
-    ``0`` means one per CPU), ``cache_dir`` memoizes results on disk, and
-    ``metrics`` (a :class:`repro.core.sweeppool.SweepMetrics`) collects
-    evaluated/cached counts and wall times — see :mod:`repro.core.sweeppool`.
+    ``0`` means one per CPU).  Every other engine keyword — ``cache_dir``,
+    ``metrics``, ``progress``, ``on_error``, ``retries``, ``timeout``,
+    ``fault``, ``executor``, ``write_manifest`` — goes unchanged to
+    :func:`repro.core.sweeppool.run_sweep_pool`, which documents them; a
+    name it does not take raises TypeError before any point runs.
     Results are always in the order of ``designs``, and the parallel/cached
     paths produce results identical to inline evaluation.
-
-    Robustness (see :func:`repro.core.sweeppool.run_sweep_pool` for the
-    full semantics): ``on_error="collect"`` turns a failing point into a
-    :class:`~repro.core.sweeppool.FailedPoint` result instead of aborting
-    the sweep, ``retries``/``retry_backoff`` re-issue transient failures,
-    ``timeout`` bounds each point's wall-clock seconds (worker-process
-    engines only), and ``resume`` re-evaluates only the missing/failed
-    points of a previously interrupted cached sweep.  ``fault`` is the
-    deterministic fault-injection spec (default ``$REPRO_SWEEP_FAULT``).
 
     ``profiler`` (an :class:`repro.sim.profiling.EventProfiler`) accumulates
     per-component event costs over every design point.  ``dump_stats``
@@ -124,8 +115,8 @@ def run_sweep(workload, designs, cfg=None, progress=None, parallel=None,
     evaluate override (uncached, in-process): worker processes could not
     report into the caller's profiler or registry, and cached points run
     no events at all.  Such a sweep still fills ``metrics`` and honours
-    ``on_error``/``retries``, but ignores ``parallel``, ``cache_dir``,
-    ``timeout`` and ``resume``.
+    ``on_error``/``retries``, but ignores ``parallel``, ``cache_dir`` and
+    ``timeout``, and rejects an explicit ``executor``.
 
     ``check`` enables runtime correctness checking per point (see
     :mod:`repro.check`).  An explicit checker likewise runs on the
@@ -144,22 +135,13 @@ def run_sweep(workload, designs, cfg=None, progress=None, parallel=None,
     or a ``cache_dir`` holding a persisted one (``repro calibrate``).
     ``guard_band`` overrides the calibration's validated error bound in
     ``auto`` pruning.
-
-    ``executor`` overrides *where* pending points evaluate (any
-    :class:`repro.core.executors.Executor`); sweeps route through the
-    executor interface by default (see
-    :func:`repro.core.executors.resolve_executor`), except the
-    profiled / stats-dumping / checked paths, which must stay in this
-    process and therefore reject an explicit executor.
-    ``write_manifest=False`` skips the per-sweep checkpoint manifest
-    (results still flush through the cache; see
-    :func:`repro.core.sweeppool.run_sweep_pool`).
     """
     if fidelity not in ("exact", "fast", "auto"):
         raise ValueError(f'fidelity must be "exact", "fast" or "auto", '
                          f'got {fidelity!r}')
+    pool = _pool_options(parallel, engine)
     diagnostic = profiler is not None or dump_stats is not None or check
-    if diagnostic and executor is not None:
+    if diagnostic and pool.get("executor") is not None:
         raise ValueError(
             "profiler/dump_stats/check sweeps run in-process (their "
             "accumulators live in this interpreter) and cannot be "
@@ -172,27 +154,39 @@ def run_sweep(workload, designs, cfg=None, progress=None, parallel=None,
         from repro.core.calibrate import run_sweep_tiered
         return run_sweep_tiered(workload, designs, cfg, fidelity=fidelity,
                                 calibration=calibration,
-                                guard_band=guard_band, progress=progress,
-                                parallel=parallel, cache_dir=cache_dir,
-                                metrics=metrics, on_error=on_error,
-                                retries=retries,
-                                retry_backoff=retry_backoff,
-                                timeout=timeout, resume=resume, fault=fault,
-                                executor=executor,
-                                write_manifest=write_manifest)
+                                guard_band=guard_band, **pool)
     from repro.core.sweeppool import run_sweep_pool
     if diagnostic:
         from repro.core.executors import InlineExecutor
-        executor = InlineExecutor(evaluate=_diagnostic_evaluate(
-            workload, profiler, dump_stats, check))
-        parallel, cache_dir, timeout, resume = None, None, None, False
-    return run_sweep_pool(workload, designs, cfg,
-                          jobs=1 if parallel is None else parallel,
-                          cache_dir=cache_dir, progress=progress,
-                          metrics=metrics, on_error=on_error,
-                          retries=retries, retry_backoff=retry_backoff,
-                          timeout=timeout, resume=resume, fault=fault,
-                          executor=executor, write_manifest=write_manifest)
+        evaluate = _diagnostic_evaluate(workload, profiler, dump_stats, check)
+        pool.update(executor=InlineExecutor(evaluate=evaluate),
+                    cache_dir=None, timeout=None)
+    return run_sweep_pool(workload, designs, cfg, **pool)
+
+
+def _pool_options(parallel, engine):
+    """``run_sweep``'s engine keywords in ``run_sweep_pool``'s spelling.
+
+    Binding them against ``run_sweep_pool``'s signature makes an unknown
+    name fail here — also on the fast tier, which never reaches the pool.
+    """
+    from repro.core.sweeppool import run_sweep_pool
+    if "jobs" in engine:
+        raise TypeError("run_sweep() takes the worker count as parallel=")
+    pool = dict(engine, jobs=1 if parallel is None else parallel)
+    inspect.signature(run_sweep_pool).bind(None, (), **pool)
+    return pool
+
+
+def check_sweep_options(options):
+    """Raise TypeError unless every key of ``options`` is a run_sweep keyword.
+
+    For layers that store sweep options for later sweeps
+    (:func:`repro.core.figures.set_sweep_options`), so a misspelt name
+    fails where it is set.
+    """
+    bound = inspect.signature(run_sweep).bind(None, (), **options)
+    _pool_options(None, bound.arguments.get("engine", {}))
 
 
 def _diagnostic_evaluate(workload, profiler, dump_stats, check):

@@ -24,7 +24,7 @@ sweeps run as fast as the hardware allows:
 * **Robustness** — long sweeps treat per-point failure as routine, not
   fatal (in the tradition of gem5 batch infrastructure): a raising design
   point becomes a structured :class:`FailedPoint` under
-  ``on_error="collect"``, transient failures retry with backoff, a
+  ``on_error="collect"``, transient failures retry, a
   per-point wall-clock ``timeout`` and dead-worker detection keep the pool
   from ever hanging, evaluated results flush incrementally through the
   cache plus a sweep-level :class:`SweepManifest` so interrupted sweeps
@@ -955,16 +955,19 @@ atexit.register(shutdown_pool)
 
 def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
                    progress=None, metrics=None, mp_context="spawn",
-                   on_error="raise", retries=0, retry_backoff=0.0,
-                   timeout=None, resume=False, fault=None, executor=None,
-                   write_manifest=True):
+                   on_error="raise", retries=0, timeout=None, fault=None,
+                   executor=None, write_manifest=True):
     """Evaluate every design point, in parallel and/or memoized.
 
-    Drop-in compatible with :func:`repro.core.sweep.run_sweep`: returns
-    the :class:`RunResult` list in the order of ``designs`` regardless of
-    worker scheduling.  ``jobs=None`` or ``0`` uses every CPU; ``jobs=1``
-    evaluates inline (no pool).  ``cache_dir`` enables the on-disk memo
-    cache; ``metrics`` (a :class:`SweepMetrics`) is filled in place.
+    This signature is the one declaration of the sweep engine's options:
+    ``run_sweep`` and every layer above it forward them here unchanged.
+    Returns the :class:`RunResult` list in the order of ``designs``
+    regardless of worker scheduling.  ``jobs=None`` or ``0`` uses every
+    CPU; ``jobs=1`` evaluates inline (no pool).  ``cache_dir`` enables
+    the on-disk memo cache — a re-run of an interrupted cached sweep
+    evaluates only its missing and failed points; ``metrics`` (a
+    :class:`SweepMetrics`) is filled in place; ``progress(done, total)``
+    is called as each point settles.
 
     ``executor`` overrides *where* the pending points evaluate (any
     :class:`repro.core.executors.Executor`); by default
@@ -984,16 +987,12 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
       records a :class:`FailedPoint` in that point's result slot and keeps
       sweeping.
     * ``retries`` — re-issue a failing point up to this many extra
-      attempts; ``retry_backoff`` seconds (scaled by the attempt number)
-      separate attempts.
+      attempts, immediately.
     * ``timeout`` — per-point wall-clock seconds; an overdue point's
       worker is killed and the point retried or failed (``kind=
       "timeout"``).  Enforced via worker processes, so ``timeout`` with
       ``jobs=1`` still runs one worker; inline fallback paths cannot
       enforce it and say so.
-    * ``resume`` — informational: the sweep always re-uses cached results;
-      with ``resume=True`` the sweep additionally requires ``cache_dir``
-      (resume without a cache cannot skip anything).
     * ``fault`` — deterministic fault-injection spec (see
       :func:`parse_fault_spec`); defaults to ``$REPRO_SWEEP_FAULT``.
 
@@ -1008,8 +1007,6 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
     if on_error not in ("raise", "collect"):
         raise ValueError(
             f'on_error must be "raise" or "collect", got {on_error!r}')
-    if resume and not cache_dir:
-        raise ValueError("resume=True requires cache_dir")
     jobs = resolve_jobs(jobs)
     metrics = metrics if metrics is not None else SweepMetrics()
     metrics.points += len(designs)
@@ -1116,8 +1113,8 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
 
     plan = ExecutionPlan(workload, designs, cfg,
                          pending=[(i, 1) for i in pending], faults=faults,
-                         retries=retries, retry_backoff=retry_backoff,
-                         timeout=timeout, robust=robust, metrics=metrics,
+                         retries=retries, timeout=timeout, robust=robust,
+                         metrics=metrics,
                          finish=finish, fail=fail)
     try:
         if pending:
@@ -1159,8 +1156,7 @@ def _run_pool(ctx, nworkers, plan):
     from multiprocessing.pool import RemoteTraceback
 
     metrics, retries, timeout = plan.metrics, plan.retries, plan.timeout
-    # (index, attempt, not_before)
-    queue = deque((i, a, 0.0) for i, a in plan.pending)
+    queue = deque(plan.pending)  # (index, attempt)
     key = _pool_key(ctx)
     workers = _borrow_workers(key, nworkers)
     consecutive_losses = 0
@@ -1183,22 +1179,13 @@ def _run_pool(ctx, nworkers, plan):
     def requeue_or_fail(index, attempt, kind, error, tb):
         if attempt <= retries:
             metrics.retries += 1
-            not_before = (time.monotonic() + plan.retry_backoff * attempt
-                          if plan.retry_backoff > 0.0 else 0.0)
-            queue.append((index, attempt + 1, not_before))
+            queue.append((index, attempt + 1))
         else:
             plan.fail(index, attempt, kind, error, tb)
 
-    def next_ready(now):
-        for _ in range(len(queue)):
-            if queue[0][2] <= now:
-                return queue.popleft()
-            queue.rotate(-1)
-        return None
-
     def abandoned():
         """Tasks still queued or in flight when the pool collapses."""
-        out = [(index, attempt) for index, attempt, _nb in queue]
+        out = list(queue)
         for worker in workers:
             if worker.task is not None:
                 out.append(worker.task)
@@ -1225,14 +1212,13 @@ def _run_pool(ctx, nworkers, plan):
             for worker in list(workers):
                 if worker.task is not None:
                     continue
-                item = next_ready(now)
-                if item is None:
+                if not queue:
                     break
-                index, attempt, _nb = item
+                index, attempt = queue.popleft()
                 try:
                     worker.conn.send(plan.task(index, attempt))
                 except (OSError, BrokenPipeError, ValueError):
-                    queue.appendleft((index, attempt, 0.0))
+                    queue.appendleft((index, attempt))
                     consecutive_losses += 1
                     reap(worker, kill=True)
                     if consecutive_losses >= _POOL_FAILURE_LIMIT:
@@ -1243,12 +1229,9 @@ def _run_pool(ctx, nworkers, plan):
                                    if timeout is not None else None)
             busy = [w for w in workers if w.task is not None]
             if not busy:
-                if queue:
-                    # Only backoff-delayed retries remain: wait them out.
-                    soonest = min(nb for _i, _a, nb in queue)
-                    time.sleep(max(0.0, min(soonest - now, 0.05)))
-                    continue
-                break
+                # Every send failed: re-dispatch to the replacements (or
+                # collapse at the loop top); with an empty queue, done.
+                continue
             # Wait for a reply or the nearest deadline.
             poll = 0.05
             deadlines = [w.deadline for w in busy if w.deadline is not None]

@@ -182,15 +182,14 @@ class SweepService:
 
     ``fidelity=None`` (the default) picks per workload: ``"auto"``
     triage when a persisted calibration exists under ``cache_dir``
-    (``repro calibrate``), ``"exact"`` otherwise.  ``jobs`` /
-    ``executor`` configure the engine the dispatcher hands batches to
-    (see :mod:`repro.core.executors`); ``batch_window`` is how long the
-    dispatcher waits after the first queued point for stragglers to
-    coalesce into one batch.
+    (``repro calibrate``), ``"exact"`` otherwise.  ``jobs`` is the
+    worker count of the engine the dispatcher hands batches to;
+    ``batch_window`` is how long the dispatcher waits after the first
+    queued point for stragglers to coalesce into one batch.
     """
 
     def __init__(self, cache_dir, jobs=None, cfg=None, fidelity=None,
-                 batch_window=0.02, executor=None):
+                 batch_window=0.02):
         if fidelity is not None and fidelity not in _TIERS:
             raise ValueError(
                 f"fidelity must be one of {_TIERS} or None, got {fidelity!r}")
@@ -200,7 +199,6 @@ class SweepService:
         self.default_cfg = cfg or SoCConfig()
         self.fidelity = fidelity
         self.batch_window = batch_window
-        self.executor = executor
         self.metrics = ServiceMetrics()
         self.sweep_metrics = SweepMetrics()  # engine-side aggregate
         self._lock = threading.Lock()
@@ -457,8 +455,8 @@ class SweepService:
             results = run_sweep(workload, designs, cfg, parallel=self.jobs,
                                 cache_dir=self.cache_dir,
                                 metrics=self.sweep_metrics,
-                                on_error="collect", executor=self.executor,
-                                write_manifest=False, **kwargs)
+                                on_error="collect", write_manifest=False,
+                                **kwargs)
         except Exception as exc:
             tb = traceback.format_exc()
             results = [FailedPoint(workload, design, repr(exc), tb)

@@ -83,16 +83,21 @@ class TestCommands:
         assert "jobs=2" in text
 
     def test_sweep_engine_flags_parsed(self):
-        from repro.cli import sweep_engine_from_args
+        from repro.cli import sweep_options_from_args
         args = build_parser().parse_args(
             ["sweep", "aes-aes", "--jobs", "4", "--cache-dir", "/tmp/x"])
-        assert sweep_engine_from_args(args) == (4, "/tmp/x")
+        options = sweep_options_from_args(args)
+        assert (options["parallel"], options["cache_dir"]) == (4, "/tmp/x")
         args = build_parser().parse_args(["sweep", "aes-aes", "--no-cache"])
-        assert sweep_engine_from_args(args) == (None, None)
+        options = sweep_options_from_args(args)
+        assert (options["parallel"], options["cache_dir"]) == (None, None)
         args = build_parser().parse_args(["sweep", "aes-aes"])
-        parallel, cache_dir = sweep_engine_from_args(args)
-        assert parallel is None
-        assert cache_dir == ".sweep-cache"
+        options = sweep_options_from_args(args)
+        assert options["parallel"] is None
+        assert options["cache_dir"] == ".sweep-cache"
+        # calibrate has no fidelity flags, so no fidelity keywords
+        args = build_parser().parse_args(["calibrate", "aes-aes"])
+        assert "fidelity" not in sweep_options_from_args(args)
 
     def test_negative_jobs_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -243,30 +248,32 @@ class TestCommands:
         from repro.core import figures
         code, _text = run_cli(["figure", "fig2a", "--jobs", "2"])
         assert code == 0
-        assert figures._sweep_options["parallel"] is None
-        assert figures._sweep_options["cache_dir"] is None
+        assert figures._sweep_options == {}
 
 
 class TestRobustSweepCLI:
     def test_robustness_flags_parsed(self):
-        from repro.cli import sweep_robustness_from_args
+        from repro.cli import sweep_options_from_args
         args = build_parser().parse_args(
             ["sweep", "aes-aes", "--on-error", "collect", "--retries", "2",
-             "--timeout", "30", "--resume"])
-        assert sweep_robustness_from_args(args) == {
+             "--timeout", "30", "--resume", "--fidelity", "auto",
+             "--guard-band", "0.1"])
+        assert sweep_options_from_args(args) == {
+            "parallel": None, "cache_dir": ".sweep-cache",
             "on_error": "collect", "retries": 2, "timeout": 30.0,
-            "resume": True}
+            "fidelity": "auto", "guard_band": 0.1}
         args = build_parser().parse_args(["sweep", "aes-aes"])
-        assert sweep_robustness_from_args(args) == {
+        assert sweep_options_from_args(args) == {
+            "parallel": None, "cache_dir": ".sweep-cache",
             "on_error": "raise", "retries": 0, "timeout": None,
-            "resume": False}
+            "fidelity": "exact", "guard_band": None}
 
     def test_resume_without_cache_rejected(self):
-        from repro.cli import sweep_robustness_from_args
+        from repro.cli import sweep_options_from_args
         args = build_parser().parse_args(
             ["sweep", "aes-aes", "--resume", "--no-cache"])
         with pytest.raises(SystemExit, match="--resume needs"):
-            sweep_robustness_from_args(args)
+            sweep_options_from_args(args)
 
     def test_collect_reports_failures_and_exits_2(self, tmp_path,
                                                   monkeypatch):

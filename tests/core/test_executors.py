@@ -265,3 +265,93 @@ class TestSweepIntegration:
             results = run_sweep(WORKLOAD, quick_designs(2))
         assert len(results) == 2
         assert all(r.workload == WORKLOAD for r in results)
+
+
+class _SpyExecutor(InlineExecutor):
+    """Records the engine options each plan carries, then runs it inline.
+
+    Before evaluating, it fails the first pending point through the
+    plan's ``fail`` callback: that raises ``SweepError`` unless the sweep
+    runs under ``on_error="collect"``, where the recorded ``FailedPoint``
+    is overwritten by the evaluation that follows.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def execute(self, plan):
+        index, _attempt = plan.pending[0]
+        plan.fail(index, 1, "error", "probe", "")
+        self.seen.append((plan.faults, plan.retries))
+        return super().execute(plan)
+
+
+def _figures_sweep(cal, **sweep):
+    from repro.core import figures
+    figures.set_sweep_options(**sweep)
+    try:
+        return figures._sweep(WORKLOAD, quick_designs())
+    finally:
+        figures.set_sweep_options()
+
+
+def _sweep_layers():
+    from repro.core.calibrate import calibrate_workload
+    from repro.core.pareto import sweep_pareto
+    from repro.core.scenarios import (
+        SCENARIOS,
+        edp_improvement,
+        run_scenario_optimum,
+    )
+    return {
+        "sweep_pareto": lambda cal, **sweep: sweep_pareto(
+            WORKLOAD, quick_designs(), **sweep),
+        "run_scenario_optimum": lambda cal, **sweep: run_scenario_optimum(
+            WORKLOAD, SCENARIOS["dma32"], density="quick", **sweep),
+        "edp_improvement": lambda cal, **sweep: edp_improvement(
+            WORKLOAD, SCENARIOS["dma32"], density="quick", **sweep),
+        "calibrate_workload": lambda cal, **sweep: calibrate_workload(
+            WORKLOAD, density="quick", designs=quick_designs(), save=False,
+            **sweep),
+        "figures": _figures_sweep,
+        "auto run_sweep": lambda cal, **sweep: run_sweep(
+            WORKLOAD, quick_designs(), fidelity="auto", calibration=cal,
+            **sweep),
+    }
+
+
+@pytest.fixture(scope="module")
+def quick_cal():
+    from repro.core.calibrate import calibrate_workload
+    return calibrate_workload(WORKLOAD, density="quick",
+                              designs=quick_designs(), save=False)
+
+
+class TestOptionForwarding:
+    FAULT = "raise@0*1"  # first attempt of point 0 fails; the retry heals
+
+    @pytest.mark.parametrize("layer", sorted(_sweep_layers()))
+    def test_engine_options_reach_the_executor(self, layer, quick_cal):
+        from repro.core.sweeppool import parse_fault_spec
+        spy = _SpyExecutor()
+        progress = []
+        _sweep_layers()[layer](
+            quick_cal, executor=spy, fault=self.FAULT, on_error="collect",
+            retries=1, progress=lambda done, total: progress.append(done))
+        assert spy.seen
+        assert all(seen == (parse_fault_spec(self.FAULT), 1)
+                   for seen in spy.seen)
+        assert progress
+
+    def test_unknown_sweep_option_fails_where_it_is_set(self, quick_cal):
+        from repro.core import figures
+        with pytest.raises(TypeError, match="bogus"):
+            figures.set_sweep_options(bogus=1)
+        with pytest.raises(TypeError):
+            figures.set_sweep_options(jobs=2)  # run_sweep spells parallel=
+        assert figures._sweep_options == {}
+        # The fast tier never reaches the pool, yet still rejects it.
+        with pytest.raises(TypeError, match="bogus"):
+            run_sweep(WORKLOAD, quick_designs(), fidelity="fast",
+                      calibration=quick_cal, bogus=1)

@@ -125,12 +125,6 @@ class TestCollectInline:
         assert len(ok) == 3 and not failed
         assert metrics.retries == 1 and metrics.failures == 0
 
-    def test_retry_backoff_waits(self):
-        start = time.perf_counter()
-        run_sweep_pool(WORKLOAD, quick_designs(1), fault="raise@0*1",
-                       retries=1, retry_backoff=0.2, on_error="collect")
-        assert time.perf_counter() - start >= 0.2
-
     def test_failures_never_cached(self, tmp_path):
         run_sweep_pool(WORKLOAD, quick_designs(), fault="raise@1",
                        on_error="collect", cache_dir=str(tmp_path))
@@ -231,7 +225,7 @@ class TestInterruptAndResume:
         # ... and resume re-evaluates only the other two.
         metrics = SweepMetrics()
         results = run_sweep_pool(WORKLOAD, designs, cache_dir=str(tmp_path),
-                                 resume=True, metrics=metrics)
+                                 metrics=metrics)
         assert metrics.cache_hits == 1 and metrics.evaluated == 2
         assert as_json(results) == serial_json
 
@@ -244,16 +238,12 @@ class TestInterruptAndResume:
         assert doc["entries"][2]["error"].startswith("RuntimeError")
         metrics = SweepMetrics()
         results = run_sweep_pool(WORKLOAD, designs, cache_dir=str(tmp_path),
-                                 resume=True, metrics=metrics)
+                                 metrics=metrics)
         assert metrics.evaluated == 1  # exactly the failed point
         assert metrics.cache_hits == 2
         assert as_json(results) == serial_json
         doc = SweepManifest.peek(str(tmp_path), WORKLOAD, designs)
         assert doc["done"] == 3 and doc["failed"] == 0
-
-    def test_resume_requires_cache(self):
-        with pytest.raises(ValueError, match="cache_dir"):
-            run_sweep_pool(WORKLOAD, quick_designs(1), resume=True)
 
     def test_bad_on_error_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
@@ -430,6 +420,14 @@ class TestConsumers:
         assert all(not getattr(r, "is_failure", False) for r in frontier)
         assert optimum.edp == min(
             r.edp for r in partition_results(results)[0])
+
+    def test_sweep_pareto_without_successes_has_no_optimum(self):
+        from repro.core.pareto import sweep_pareto
+        frontier, optimum, results = sweep_pareto(
+            WORKLOAD, quick_designs(2), on_error="collect",
+            fault="raise@0,raise@1")
+        assert frontier == [] and optimum is None
+        assert all(isinstance(r, FailedPoint) for r in results)
 
     def test_scenario_optimum_with_failures(self, monkeypatch):
         from repro.core.scenarios import SCENARIOS, run_scenario_optimum
