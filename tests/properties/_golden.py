@@ -58,6 +58,11 @@ PINNED = {
         DesignPoint(lanes=4, partitions=4, mem_interface="cache",
                     cache_size_kb=16, cache_ports=1, cache_assoc=4,
                     pipelining="modulo")),
+    "spmv-crs/cache-4k-4p-off": (
+        "spmv-crs",
+        DesignPoint(lanes=4, partitions=4, mem_interface="cache",
+                    cache_size_kb=4, cache_ports=4, cache_assoc=4,
+                    pipelining="off")),
 }
 
 
