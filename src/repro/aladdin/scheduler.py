@@ -476,27 +476,59 @@ class DatapathScheduler:
         launches the issues that precede it.  Without internal arrays it
         ends once every cache port is taken, since each access left would
         be refused before any TLB or cache call.
+
+        A walk leaves the accesses the cache refused for full MSHRs at the
+        head of the lane's bucket.  Such a refusal schedules nothing: it
+        counts one ``cache.blocked`` and one ``tlb.hits`` and makes its
+        page most recently used.  It is refused again until an MSHR is
+        released, a line installed or a TLB page evicted (``cache.epoch``
+        and ``tlb.evictions``).  So while neither count moves, a walk that
+        starts with a free cache port counts the lane's leading run of
+        refusals again without probing it.
         """
         mem_if = self.mem_if
         mem_issue = mem_if.issue
         ports = mem_if.ports
         internal = mem_if.internal
         node_array = mem_if._node_array
+        node_vaddr = mem_if._node_vaddr
         quiet = mem_if.perfect   # accesses that schedule no events
+        cache = mem_if.cache
+        tlb = mem_if.tlb
+        page_size = tlb.page_size
         launch = self._launch
         mask = self._key_mask
         limit = self._fu_limits[_MEM]
+        # Per lane, the run of refusals its last walks left leading the
+        # bucket: (length, last key, TLB pages in order of last touch,
+        # epoch + evictions when the refusing walk began).
+        runs = [None] * self.lanes
 
         def walk(now, cycle, lane, mem, used, issued, launched, batches):
             issued.sort()
             pending = 0
             upto = issued[0][0] if issued else _NEVER   # next compute key
+            stamp = cache.epoch + tlb.evictions
+            start = 0
+            run = runs[lane]
+            if (run is not None and run[3] == stamp
+                    and mem_if._ports_used < ports
+                    and len(mem) >= run[0] and mem[run[0] - 1] == run[1]):
+                # Keys only join a bucket at its tail, in increasing order,
+                # so the run's last key in place means the whole run is.
+                start = run[0]
+                tlb.rehit(run[2], start)
+                cache.blocked_again(start, (
+                    tlb.peek(node_vaddr[key & mask])
+                    for key in islice(mem, start)))
             refused = []    # accesses the interface refused, in order
+            leading = []    # ... while all were the cache's: the run grows
             end = _NEVER
-            walked = 0
-            for key in mem:
+            walked = start
+            for key in (islice(mem, start, None) if start else mem):
                 node = key & mask
-                if mem_if._ports_used >= ports and not internal:
+                free = mem_if._ports_used < ports
+                if not (free or internal):
                     break
                 walked += 1
                 if upto < key:
@@ -505,11 +537,15 @@ class DatapathScheduler:
                         pending += 1
                     upto = (issued[pending][0] if pending < len(issued)
                             else _NEVER)
-                if launched and not (quiet or node_array[node] in internal
-                                     or mem_if._ports_used >= ports):
+                probe = free and node_array[node] not in internal
+                if launched and probe and not quiet:
                     launch(now, launched, batches)
                 status = mem_issue(self, node, cycle)
                 if status == "retry":
+                    # With a free port and no internal array, only the
+                    # cache refuses.
+                    if len(leading) == len(refused) and probe:
+                        leading.append(key)
                     refused.append(key)
                     continue
                 if status != "parked":
@@ -520,10 +556,18 @@ class DatapathScheduler:
                     end = key
                     break
             else:
-                if not refused:
+                if not (refused or start):
                     end = key   # emptied
-            mem[:walked] = refused
+            mem[start:walked] = refused
             launched += issued[pending:]
+            if leading:
+                touched = [node_vaddr[key & mask] // page_size
+                           for key in leading]
+                if start:
+                    touched[:0] = run[2]
+                pages = tuple(dict.fromkeys(reversed(touched)))[::-1]
+                runs[lane] = (start + len(leading), leading[-1], pages,
+                              stamp)
             return end
 
         return walk
@@ -973,35 +1017,20 @@ class CacheInterface:
         self._ports_used += 1
         if self.perfect:
             return self._period_ticks
-        status = self._translated_access(sched, node, self._node_vaddr[node],
-                                         self._node_size[node], array)
-        if status == "retry":
+        tlb = self.tlb
+        vaddr = self._node_vaddr[node]
+        paddr = tlb.lookup(vaddr)
+        if paddr is None:
+            # Park until the walk lands; the retried access then hits.
+            tlb.translate(vaddr, self.phys_offset,
+                          lambda _paddr: sched.resume_parked(node))
+            return "parked"
+        if self.cache.access(paddr, self._node_size[node],
+                             self._node_is_write[node], sched.complete_node,
+                             node, stream=array) == "blocked":
             # The cache rejected the access (MSHRs full): refund the port
             # slot, or a blocked lane would starve peers for the whole
             # cycle on a port it never used.
             self._ports_used -= 1
-        return status
-
-    def _translated_access(self, sched, node, vaddr, size, array):
-        result = {"sync": True, "paddr": None}
-
-        def on_translated(paddr):
-            if result["sync"]:
-                result["paddr"] = paddr
-            else:
-                # Walk finished later: retry the whole access; the TLB now hits.
-                sched.resume_parked(node)
-
-        hit = self.tlb.translate(vaddr, self.phys_offset, on_translated)
-        result["sync"] = False
-        if not hit:
-            return "parked"
-        is_write = self._node_is_write[node]
-        status = self.cache.access(
-            result["paddr"], size, is_write,
-            callback=lambda: sched.complete_node(node),
-            stream=array,
-        )
-        if status == "blocked":
             return "retry"
         return "issued"

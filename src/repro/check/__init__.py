@@ -11,7 +11,8 @@ hook site and nothing else:
 * **End-of-run audits** (:mod:`repro.check.audit`) — after the event queue
   drains, every component is checked for leaked state (unreleased MSHRs,
   pending full/empty waiters, in-flight DMA, bus reservations past the
-  final tick); findings raise :class:`~repro.errors.LeakError`.
+  final tick) and every accelerator TLB hit for its one cache access;
+  findings raise :class:`~repro.errors.LeakError`.
 * **Deadlock watchdog** (:mod:`repro.check.watchdog`) — when the queue
   drains with an unfinished offload, the kernel raises a structured
   :class:`~repro.errors.DeadlockError` whose report says which lanes

@@ -19,7 +19,9 @@ Audited resources:
 * full/empty ``ReadyBits`` — no callbacks still blocked on unfilled lines;
 * DMA engine — channel idle, no queued transactions, no bursts in flight,
   busy interval closed;
-* accelerator TLB — no pending page-table walks;
+* accelerator TLB — no pending page-table walks, and every TLB hit
+  reached the cache exactly once (``tlb.hits`` equals the cache's hits +
+  misses + merged + blocked);
 * datapath scheduler — finished, nothing in flight, no nodes stranded in
   the per-lane ready queues (checked against the actual queue contents,
   with counter drift reported separately), none parked behind round or
@@ -119,12 +121,19 @@ def _audit_soc(leaks, soc):
         count += 1
         _audit_cache(leaks, f"{prefix}.cache", soc.accel_cache)
 
-    if soc.tlb is not None:
+    tlb = soc.tlb
+    if tlb is not None:
         count += 1
-        if soc.tlb._pending:
+        if tlb._pending:
             _leak(leaks, f"{prefix}.tlb", "pending_walks",
-                  f"{len(soc.tlb._pending)} page-table walk(s) never "
+                  f"{len(tlb._pending)} page-table walk(s) never "
                   f"finished")
+        cache = soc.accel_cache
+        reached = cache.hits + cache.misses + cache.merged + cache.blocked
+        if tlb.hits != reached:
+            _leak(leaks, f"{prefix}.tlb", "tlb_cache_conservation",
+                  f"{tlb.hits} TLB hits, but the cache counted {reached} "
+                  f"accesses (hits + misses + merged + blocked)")
 
     mem_if = sched.mem_if
     ports = getattr(mem_if, "ports", None)

@@ -53,6 +53,10 @@ class Cache:
             self._set_mask = None
         self._hit_ticks = clock.cycles_to_ticks(hit_latency_cycles)
         self.mshrs = MSHRFile(mshrs)
+        # Bumped on every MSHR release and every line install: the only
+        # changes that can turn an access refused for full MSHRs into a
+        # hit, a merge or an allocation.
+        self.epoch = 0
         # set index -> OrderedDict(line_addr -> state), LRU order (oldest first)
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self.domain = None  # set by CoherenceDomain.register
@@ -153,13 +157,15 @@ class Cache:
 
     # -- the access path -----------------------------------------------------
 
-    def access(self, addr, size, is_write, callback, stream=None):
+    def access(self, addr, size, is_write, callback, *args, stream=None):
         """Attempt one demand access.
 
         Returns ``"hit"``, ``"miss"`` (accepted, fill in flight) or
-        ``"blocked"`` (MSHRs exhausted — caller must retry).  ``callback()``
-        fires once the data is available (after the hit latency, or after
-        the fill plus hit latency).
+        ``"blocked"`` (MSHRs exhausted — caller must retry).
+        ``callback(*args)`` fires once the data is available (after the
+        hit latency, or after the fill plus hit latency).  A blocked
+        access changes nothing but ``blocked``, and stays blocked until
+        ``epoch`` moves.
         """
         line = self.line_addr(addr)
         if self.line_addr(addr + size - 1) != line:
@@ -181,32 +187,41 @@ class Cache:
                 cache_set[line] = LineState.MODIFIED
                 if self._checker is not None:
                     self._checker.on_install(self, line, LineState.MODIFIED)
-            self.sim.schedule(self._hit_ticks, callback)
+            self.sim.schedule(self._hit_ticks, callback, *args)
             return "hit"
 
         # Miss (or write upgrade, which we conservatively treat as a miss).
         if self.mshrs.lookup(line):
             self._count_access(is_write, addr, stream)
             self.merged += 1
-            self.mshrs.merge(line, (callback, is_write))
+            self.mshrs.merge(line, (callback, args, is_write))
             return "miss"
         if not self.mshrs.allocate(line):
             # Rejected: the caller retries, so count nothing yet.
-            self.blocked += 1
-            if self._trace is not None:
-                self._trace(self.sim.now, "blocked 0x%x (MSHRs full)", line)
+            self.blocked_again(1, (line,))
             return "blocked"
         self._count_access(is_write, addr, stream)
         self.misses += 1
         if self._trace is not None:
             self._trace(self.sim.now, "%s miss 0x%x",
                         "write" if is_write else "read", line)
-        self.mshrs.merge(line, (callback, is_write))
+        self.mshrs.merge(line, (callback, args, is_write))
         self.domain.fetch_line(
             self, line, for_write=is_write,
             callback=lambda fill_state, _line=line: self._fill(_line, fill_state),
         )
         return "miss"
+
+    def blocked_again(self, count, addrs):
+        """Count ``count`` more refused accesses without probing them:
+        while ``epoch`` stands still a refused access is refused again and
+        changes nothing else.  ``addrs`` (one address per access) is read
+        only when traced."""
+        self.blocked += count
+        if self._trace is not None:
+            for addr in addrs:
+                self._trace(self.sim.now, "blocked 0x%x (MSHRs full)",
+                            self.line_addr(addr))
 
     def _count_access(self, is_write, addr, stream):
         """Per accepted access: stats plus one prefetcher observation."""
@@ -233,11 +248,12 @@ class Cache:
 
     def _fill(self, line_addr, fill_state, prefetch=False):
         waiters = self.mshrs.release(line_addr)
+        self.epoch += 1
         # A waiter that wrote forces the installed state to M.  If the fill
         # came back from a plain read probe (anything but M), peers may still
         # hold the line — the domain must invalidate them or they would
         # retain stale SHARED copies next to our MODIFIED one.
-        if any(w_is_write for _cb, w_is_write in waiters):
+        if any(w_is_write for _cb, _args, w_is_write in waiters):
             if fill_state != LineState.MODIFIED and self.domain is not None:
                 self.domain.upgrade_line(self, line_addr)
             fill_state = LineState.MODIFIED
@@ -250,10 +266,11 @@ class Cache:
             self._trace(self.sim.now, "fill 0x%x state=%s%s", line_addr,
                         fill_state, " (prefetch)" if prefetch else "")
         delay = self._hit_ticks
-        for cb, _is_write in waiters:
-            self.sim.schedule(delay, cb)
+        for cb, args, _is_write in waiters:
+            self.sim.schedule(delay, cb, *args)
 
     def _install(self, line_addr, state):
+        self.epoch += 1
         cache_set = self._set_of(line_addr)
         if line_addr in cache_set:
             cache_set.move_to_end(line_addr)

@@ -38,6 +38,32 @@ class AcceleratorTLB:
     def _vpn(self, vaddr):
         return vaddr // self.page_size
 
+    def peek(self, vaddr):
+        """The physical address of ``vaddr`` if its page is resident, else
+        None; counts nothing and leaves recency alone."""
+        ppn = self._tlb.get(vaddr // self.page_size)
+        if ppn is None:
+            return None
+        return ppn * self.page_size + vaddr % self.page_size
+
+    def lookup(self, vaddr):
+        """:meth:`peek`, counting a hit and making the page most recently
+        used.  A resident page stays resident until ``evictions`` moves."""
+        paddr = self.peek(vaddr)
+        if paddr is not None:
+            self.hits += 1
+            self._tlb.move_to_end(vaddr // self.page_size)
+        return paddr
+
+    def rehit(self, pages, count):
+        """Count ``count`` more hits on the resident ``pages`` (vpns, in
+        order of last touch): the counts and recency that ``count``
+        lookups of them leave behind."""
+        self.hits += count
+        touch = self._tlb.move_to_end
+        for vpn in pages:
+            touch(vpn)
+
     def translate(self, vaddr, phys_offset, callback):
         """Translate ``vaddr``; ``callback(paddr)`` fires when done.
 
@@ -45,13 +71,12 @@ class AcceleratorTLB:
         latency, as in the paper); misses pay the walk latency, serialized
         through the single walker.
         """
+        paddr = self.lookup(vaddr)
+        if paddr is not None:
+            callback(paddr)
+            return True
         vpn = self._vpn(vaddr)
         offset = vaddr % self.page_size
-        if vpn in self._tlb:
-            self.hits += 1
-            self._tlb.move_to_end(vpn)
-            callback(self._tlb[vpn] * self.page_size + offset)
-            return True
         self.misses += 1
         if vpn in self._pending:
             # A walk for this page is already in flight: coalesce.

@@ -6,9 +6,10 @@ import pytest
 
 from repro.check import Checker, audit_platform, enabled_from_env, \
     resolve_check
-from repro.core.config import DesignPoint
+from repro.core.config import DesignPoint, SoCConfig
 from repro.core.soc import Platform, SoC, run_design
 from repro.errors import LeakError, SimulationError
+from repro.memory.tlb import AcceleratorTLB
 
 
 def small_dma(lanes=2):
@@ -81,6 +82,21 @@ class TestLeakDetection:
         soc.platform.domain._pending[0x100] = []
         with pytest.raises(LeakError, match="pending_fetches"):
             checker.audit()
+
+    def test_blocked_count_without_tlb_hits_raises(self, monkeypatch):
+        """A refused-access run counted into ``cache.blocked`` but not
+        into ``tlb.hits`` breaks the TLB/cache conservation identity."""
+        def rehit(tlb, pages, count):
+            for vpn in pages:
+                tlb._tlb.move_to_end(vpn)
+
+        monkeypatch.setattr(AcceleratorTLB, "rehit", rehit)
+        design = DesignPoint(lanes=4, partitions=4, mem_interface="cache",
+                             cache_size_kb=2, cache_ports=4,
+                             prefetcher="none", pipelining="off")
+        soc = SoC("backprop", design, SoCConfig(mshrs=2), check=Checker())
+        with pytest.raises(LeakError, match="tlb_cache_conservation"):
+            soc.run()
 
     def test_unattached_checker_rejects_audit(self):
         with pytest.raises(LeakError, match="never attached"):

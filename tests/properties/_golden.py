@@ -37,7 +37,8 @@ DESIGNS = {
 #: The nine pairs above all run in barriers mode with few bank
 #: conflicts; these pin the scheduler's conflict counters
 #: (``spad.conflicts``, ``reservation_conflicts``) and issue order where
-#: blocked ready nodes dominate the issue pass.
+#: blocked ready nodes dominate the issue pass, and where accesses
+#: refused for full MSHRs do (``spmv-crs/cache-4k-4p-off``).
 PINNED = {
     "stencil-stencil2d/dma-16x1": (
         "stencil-stencil2d",

@@ -9,7 +9,10 @@ captured before the overhaul; these tests re-run all nine
 ``PINNED`` designs (bank-conflict-heavy DMA points, ``off`` and modulo
 pipelining, a 1-port cache modulo point) were captured before the
 resource-bucketed issue pass: they hold its arithmetic conflict
-counters to the per-node scan's.
+counters to the per-node scan's.  The 4-port spmv-crs cache point with
+pipelining off was captured while every MSHR-blocked access was still
+probed on every pass; its ``tlb_miss_rate`` pins ``tlb.hits``, and so
+each of the 3.1 M refusals now counted without a probe.
 
 A legitimate modeling change that moves numbers must regenerate the
 goldens (``PYTHONPATH=src python -m tests.properties._golden``) and say
