@@ -52,6 +52,7 @@ Python kernel frontend (see :mod:`repro.frontend`):
 """
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 
@@ -399,6 +400,21 @@ def _jobs_count(text):
     return value
 
 
+def _retry_count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _timeout_seconds(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite seconds > 0, got {text}")
+    return value
+
+
 def _add_sweep_engine_args(parser):
     parser.add_argument("--jobs", type=_jobs_count, default=1, metavar="N",
                         help="evaluate design points over N worker "
@@ -413,10 +429,12 @@ def _add_sweep_engine_args(parser):
                         help="'collect' records a failing design point as "
                              "a structured FailedPoint and keeps sweeping "
                              "(default: abort on first failure)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
+    parser.add_argument("--retries", type=_retry_count, default=0,
+                        metavar="N",
                         help="re-issue a failing design point up to N "
                              "extra attempts (default 0)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="S",
+    parser.add_argument("--timeout", type=_timeout_seconds, default=None,
+                        metavar="S",
                         help="per-point wall-clock limit in seconds; an "
                              "overdue point's worker is killed and the "
                              "point retried or failed")

@@ -99,7 +99,7 @@ def run_sweep(workload, designs, cfg=None, *, parallel=None,
     ``parallel`` fans the evaluations out over a worker pool (``N`` workers;
     ``0`` means one per CPU).  Every other engine keyword — ``cache_dir``,
     ``metrics``, ``progress``, ``on_error``, ``retries``, ``timeout``,
-    ``fault``, ``executor``, ``write_manifest`` — goes unchanged to
+    ``fault``, ``evaluate``, ``write_manifest`` — goes unchanged to
     :func:`repro.core.sweeppool.run_sweep_pool`, which documents them; a
     name it does not take raises TypeError before any point runs.
     Results are always in the order of ``designs``, and the parallel/cached
@@ -111,16 +111,16 @@ def run_sweep(workload, designs, cfg=None, *, parallel=None,
     successfully evaluated design point (``<workload>-NNNN.json``; see
     :mod:`repro.obs.stats`); every attempt gets a fresh registry, and a
     point that fails every attempt writes no file.  Either option runs
-    the sweep on :class:`~repro.core.executors.InlineExecutor` with an
-    evaluate override (uncached, in-process): worker processes could not
-    report into the caller's profiler or registry, and cached points run
-    no events at all.  Such a sweep still fills ``metrics`` and honours
-    ``on_error``/``retries``, but ignores ``parallel``, ``cache_dir`` and
-    ``timeout``, and rejects an explicit ``executor``.
+    the sweep inline and uncached through an ``evaluate`` task runner of
+    its own: worker processes could not report into the caller's
+    profiler or registry, and cached points run no events at all.  Such
+    a sweep still fills ``metrics`` and honours ``on_error``/``retries``,
+    but ignores ``parallel`` and ``cache_dir``, warns that it cannot
+    enforce a ``timeout``, and rejects an explicit ``evaluate``.
 
     ``check`` enables runtime correctness checking per point (see
     :mod:`repro.check`).  An explicit checker likewise runs on the
-    in-process evaluate override — its accumulated counters live in this
+    in-process task runner — its accumulated counters live in this
     process.  ``None`` defers to ``$REPRO_CHECK``, which worker processes
     inherit, so the parallel engine still checks every point when the
     variable is set.
@@ -141,11 +141,10 @@ def run_sweep(workload, designs, cfg=None, *, parallel=None,
                          f'got {fidelity!r}')
     pool = _pool_options(parallel, engine)
     diagnostic = profiler is not None or dump_stats is not None or check
-    if diagnostic and pool.get("executor") is not None:
+    if diagnostic and pool.get("evaluate") is not None:
         raise ValueError(
-            "profiler/dump_stats/check sweeps run in-process (their "
-            "accumulators live in this interpreter) and cannot be "
-            "dispatched through an executor")
+            "profiler/dump_stats/check sweeps bind their accumulators "
+            "through their own evaluate and cannot take another")
     if fidelity != "exact":
         if diagnostic:
             raise ValueError(
@@ -157,10 +156,9 @@ def run_sweep(workload, designs, cfg=None, *, parallel=None,
                                 guard_band=guard_band, **pool)
     from repro.core.sweeppool import run_sweep_pool
     if diagnostic:
-        from repro.core.executors import InlineExecutor
-        evaluate = _diagnostic_evaluate(workload, profiler, dump_stats, check)
-        pool.update(executor=InlineExecutor(evaluate=evaluate),
-                    cache_dir=None, timeout=None)
+        pool.update(evaluate=_diagnostic_evaluate(workload, profiler,
+                                                  dump_stats, check),
+                    cache_dir=None)
     return run_sweep_pool(workload, designs, cfg, **pool)
 
 
@@ -190,7 +188,7 @@ def check_sweep_options(options):
 
 
 def _diagnostic_evaluate(workload, profiler, dump_stats, check):
-    """The ``InlineExecutor`` task runner of a diagnostic sweep.
+    """The in-process ``evaluate`` task runner of a diagnostic sweep.
 
     Binds the caller's profiler and checker into every evaluation and,
     with ``dump_stats``, gives each attempt a fresh stats registry whose

@@ -58,16 +58,17 @@ unreadable entries are treated as misses and rewritten.  Failed points
 are never cached, so a resumed sweep re-evaluates exactly the missing
 and failed points.
 
-Where evaluations *run* is delegated to the pluggable executor layer
-(:mod:`repro.core.executors`): inline or the local worker pool.
-``run_sweep_pool(executor=...)`` accepts any
-:class:`~repro.core.executors.Executor`; by default the historical
-selection (pool when it pays, inline otherwise) is preserved exactly.
+Where the pending points *run* follows one dispatch rule (see
+:func:`run_sweep_pool`): the warm worker pool when the sweep asks for
+more than one worker or a killable ``timeout`` and the parent can spawn
+workers, inline otherwise.  Both paths settle points through the same
+callbacks, so they are bit-identical.
 """
 
 import atexit
 import hashlib
 import json
+import math
 import os
 import pickle
 import sys
@@ -77,6 +78,8 @@ import time
 import traceback as _traceback
 import warnings
 from collections import deque
+from numbers import Integral, Real
+from types import SimpleNamespace
 
 try:
     import resource
@@ -168,11 +171,24 @@ def key_payload(workload, design, cfg=None):
     }
 
 
+def _payload_key(payload):
+    """The hex SHA-256 of one :func:`key_payload` (the cache key)."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def sweep_key(workload, design, cfg=None):
     """Stable hex digest identifying one ``(workload, design, cfg)`` run."""
-    text = json.dumps(key_payload(workload, design, cfg),
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _payload_key(key_payload(workload, design, cfg))
+
+
+def keyed_payloads(workload, designs, cfg=None):
+    """``[(sweep_key, key_payload)]`` per design, canonicalizing each once."""
+    out = []
+    for design in designs:
+        payload = key_payload(workload, design, cfg)
+        out.append((_payload_key(payload), payload))
+    return out
 
 
 # -- the on-disk cache --------------------------------------------------------
@@ -956,7 +972,7 @@ atexit.register(shutdown_pool)
 def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
                    progress=None, metrics=None, mp_context="spawn",
                    on_error="raise", retries=0, timeout=None, fault=None,
-                   executor=None, write_manifest=True):
+                   evaluate=None, write_manifest=True):
     """Evaluate every design point, in parallel and/or memoized.
 
     This signature is the one declaration of the sweep engine's options:
@@ -969,12 +985,17 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
     :class:`SweepMetrics`) is filled in place; ``progress(done, total)``
     is called as each point settles.
 
-    ``executor`` overrides *where* the pending points evaluate (any
-    :class:`repro.core.executors.Executor`); by default
-    :func:`~repro.core.executors.resolve_executor` reproduces the
-    historical engine selection (pool when requested/needed, inline
-    otherwise).  ``write_manifest=False`` skips the per-sweep
-    checkpoint manifest — results still flush through the cache, but no
+    Dispatch rule: the pending points run on the warm worker pool when
+    the sweep asks for more than one worker (or a ``timeout``, which
+    needs a worker to kill) and the parent can start workers — a
+    ``spawn`` worker must be able to re-import ``__main__``; otherwise
+    they run inline, in this process.  ``evaluate`` replaces the task
+    runner (the signature of :func:`_evaluate_task`: a task tuple in,
+    ``(index, result, elapsed)`` out) and forces inline evaluation;
+    profiled, stats-dumping and checked sweeps use it to bind their
+    in-process accumulators (see :func:`repro.core.sweep.run_sweep`).
+    ``write_manifest=False`` skips the per-sweep checkpoint manifest —
+    results still flush through the cache, but no
     ``manifests/<sweep_id>.json`` is written.  The service front door
     uses this for its coalesced ad-hoc batches, which are not resumable
     sweeps and would otherwise litter the manifest directory with
@@ -986,18 +1007,19 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
       retries) as a :class:`~repro.errors.SweepError`; ``"collect"``
       records a :class:`FailedPoint` in that point's result slot and keeps
       sweeping.
-    * ``retries`` — re-issue a failing point up to this many extra
-      attempts, immediately.
-    * ``timeout`` — per-point wall-clock seconds; an overdue point's
-      worker is killed and the point retried or failed (``kind=
-      "timeout"``).  Enforced via worker processes, so ``timeout`` with
-      ``jobs=1`` still runs one worker; inline fallback paths cannot
-      enforce it and say so.
+    * ``retries`` — an int >= 0: re-issue a failing point up to this many
+      extra attempts, immediately.
+    * ``timeout`` — ``None`` or finite per-point wall-clock seconds > 0;
+      an overdue point's worker is killed and the point retried or failed
+      (``kind="timeout"``).  Enforced via worker processes, so
+      ``timeout`` with ``jobs=1`` still runs one worker; inline paths
+      cannot enforce it and say so with a RuntimeWarning.
     * ``fault`` — deterministic fault-injection spec (see
       :func:`parse_fault_spec`); defaults to ``$REPRO_SWEEP_FAULT``.
 
-    Evaluated results flush through the cache (and a
-    :class:`SweepManifest` when caching) as they complete, so a
+    A bad ``on_error``, ``retries`` or ``timeout`` raises ValueError
+    before any point runs.  Evaluated results flush through the cache
+    (and a :class:`SweepManifest` when caching) as they complete, so a
     ``KeyboardInterrupt`` or crash loses nothing already evaluated.  A
     worker that *dies* (crash, OOM kill) is detected, replaced, and its
     point retried or failed (``kind="worker-lost"``) — a dead worker
@@ -1007,6 +1029,13 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
     if on_error not in ("raise", "collect"):
         raise ValueError(
             f'on_error must be "raise" or "collect", got {on_error!r}')
+    if (isinstance(retries, bool) or not isinstance(retries, Integral)
+            or retries < 0):
+        raise ValueError(f"retries must be an int >= 0, got {retries!r}")
+    if timeout is not None and not (
+            isinstance(timeout, Real) and 0 < timeout < math.inf):
+        raise ValueError(f"timeout must be None or finite seconds > 0, "
+                         f"got {timeout!r}")
     jobs = resolve_jobs(jobs)
     metrics = metrics if metrics is not None else SweepMetrics()
     metrics.points += len(designs)
@@ -1021,15 +1050,12 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
     pending = []
     payloads = {}
     if cache is not None:
-        for i, design in enumerate(designs):
-            payloads[i] = (sweep_key(workload, design, cfg),
-                           key_payload(workload, design, cfg))
+        payloads = dict(enumerate(keyed_payloads(workload, designs, cfg)))
         if len(designs) >= _BATCH_PROBE_MIN:
             # Batch probe: one index scan answers every miss for free;
             # only present entries pay a read (SweepCache.get_many).
             hits = cache.get_many([kp[0] for kp in payloads.values()],
-                                  payloads={kp[0]: kp[1]
-                                            for kp in payloads.values()})
+                                  payloads=dict(payloads.values()))
         else:
             # Small sweeps: per-point probes beat walking a cache
             # directory that may hold orders of magnitude more entries.
@@ -1096,37 +1122,33 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
         if progress is not None:
             progress(completed, len(designs))
 
-    from repro.core.executors import (
-        ExecutionPlan,
-        InlineExecutor,
-        resolve_executor,
-    )
-    if executor is None:
-        executor = resolve_executor(jobs=jobs, mp_context=mp_context,
-                                    robust=robust, timeout=timeout,
-                                    npending=len(pending))
-    # Satellite fix (PR 5): record the worker count actually used, *after*
-    # the spawn-safety fallback decision — a sweep downgraded to inline
-    # must not report a parallel job count (and a bogus utilization).
-    metrics.jobs = max(metrics.jobs,
-                       executor.effective_jobs(len(pending)))
+    pooled = (evaluate is None and bool(pending)
+              and (jobs > 1 or timeout is not None)
+              and (mp_context != "spawn" or _spawn_can_reimport_main()))
+    # Record the worker count actually used, after the spawn-safety
+    # fallback: a sweep run inline must not report a parallel job count
+    # (and a bogus utilization).
+    nworkers = min(jobs, len(pending)) if pooled else 1
+    metrics.jobs = max(metrics.jobs, nworkers)
 
-    plan = ExecutionPlan(workload, designs, cfg,
-                         pending=[(i, 1) for i in pending], faults=faults,
-                         retries=retries, timeout=timeout, robust=robust,
-                         metrics=metrics,
-                         finish=finish, fail=fail)
+    plan = SimpleNamespace(
+        pending=[(i, 1) for i in pending], retries=retries,
+        timeout=timeout, robust=robust, metrics=metrics, finish=finish,
+        fail=fail,
+        task=lambda index, attempt: (index, workload, designs[index], cfg,
+                                     attempt, faults))
     try:
-        if pending:
-            leftover = executor.execute(plan)
-            if leftover:
+        if pooled:
+            from multiprocessing import get_context
+            plan.pending = _run_pool(get_context(mp_context), nworkers, plan)
+            if plan.pending:
                 warnings.warn(
                     "sweep worker pool failed repeatedly; falling back to "
                     "serial evaluation for the remaining "
-                    f"{len(leftover)} point(s)", RuntimeWarning,
+                    f"{len(plan.pending)} point(s)", RuntimeWarning,
                     stacklevel=2)
-                plan.pending = leftover
-                InlineExecutor().execute(plan)
+        if plan.pending:
+            _run_inline(plan, evaluate or _evaluate_task)
     finally:
         if manifest is not None:
             manifest.save()
@@ -1134,9 +1156,46 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
     return results
 
 
+def _run_inline(plan, evaluate):
+    """Settle ``plan``'s pending points serially, in this process.
+
+    The reference engine: the pool must be bit-identical to it.  Honours
+    ``retries``/``on_error`` but cannot enforce a per-point ``timeout``
+    (there is no worker process to kill), so a plan that asks for one
+    gets a RuntimeWarning and runs unbounded.  Each ``(index, attempt)``
+    pair starts at its attempt, so points handed back by a collapsed
+    pool keep their retry budget.  A non-robust plan lets the first
+    evaluation error propagate raw.
+    """
+    if plan.timeout is not None:
+        warnings.warn(
+            "per-point sweep timeout needs worker processes; "
+            "evaluating inline without timeout enforcement",
+            RuntimeWarning, stacklevel=3)
+    for index, attempt in plan.pending:
+        while True:
+            try:
+                _idx, result, elapsed = evaluate(plan.task(index, attempt))
+            except Exception as exc:
+                if not plan.robust:
+                    raise
+                if attempt <= plan.retries:
+                    plan.metrics.retries += 1
+                    attempt += 1
+                    continue
+                plan.fail(index, attempt, "error", repr(exc),
+                          _traceback.format_exc())
+                break
+            plan.finish(index, result, elapsed)
+            break
+
+
 def _run_pool(ctx, nworkers, plan):
     """Settle ``plan`` on up to ``nworkers`` warm or new worker processes.
 
+    ``plan`` is the one :func:`run_sweep_pool` builds: the pending
+    ``(index, attempt)`` pairs, the ``task`` builder, the robustness
+    knobs and the ``finish``/``fail`` callbacks that settle each point.
     Apply-async-style dispatch over private per-worker pipes, one
     in-flight task per worker, so a dead worker (crashed / OOM-killed
     process) identifies exactly the point it was evaluating: the worker

@@ -43,8 +43,7 @@ from repro.core.sweeppool import (
     FailedPoint,
     SweepCache,
     SweepMetrics,
-    key_payload,
-    sweep_key,
+    keyed_payloads,
 )
 from repro.errors import CalibrationError
 from repro.obs.stats import percentile
@@ -327,9 +326,9 @@ class SweepService:
         cfg = cfg or self.default_cfg
         tier = self._tier_for(workload, cfg, fidelity)
         start = time.perf_counter()
-        keys = [sweep_key(workload, d, cfg) for d in designs]
-        payloads = {k: key_payload(workload, d, cfg)
-                    for k, d in zip(keys, designs)}
+        keyed = keyed_payloads(workload, designs, cfg)
+        keys = [key for key, _payload in keyed]
+        payloads = dict(keyed)
         # Cheap pre-lock snapshot: the index answers big warm queries
         # without holding the service lock across disk reads.
         snapshot = (self.cache.get_many(keys, payloads)
@@ -518,9 +517,9 @@ class SweepService:
             results, report = self.submit(workload, designs, cfg,
                                           fidelity=fidelity)
         else:
-            keys = [sweep_key(workload, d, cfg) for d in designs]
-            payloads = {k: key_payload(workload, d, cfg)
-                        for k, d in zip(keys, designs)}
+            keyed = keyed_payloads(workload, designs, cfg)
+            keys = [key for key, _payload in keyed]
+            payloads = dict(keyed)
             hits = self.cache.get_many(keys, payloads)
             results = [hits.get(k) for k in keys]
             missing = sum(1 for r in results if r is None)

@@ -307,8 +307,8 @@ class TestFaultFreeParity:
 
 
 class TestDiagnosticSweepRobustness:
-    """Profiled, stats-dumping and checked sweeps run on InlineExecutor
-    with an evaluate override, so they share the robust layer."""
+    """Profiled, stats-dumping and checked sweeps run inline through
+    their own ``evaluate`` task runner, so they share the robust layer."""
 
     def test_diagnostic_sweep_fills_metrics(self):
         from repro.sim.profiling import EventProfiler

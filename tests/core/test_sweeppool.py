@@ -14,6 +14,7 @@ from repro.core.sweeppool import (
     SweepCache,
     SweepMetrics,
     key_payload,
+    keyed_payloads,
     resolve_jobs,
     run_sweep_pool,
     sweep_key,
@@ -54,6 +55,39 @@ class TestSweepKey:
         import json
         payload = key_payload(WORKLOAD, DesignPoint(), SoCConfig())
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_keys_are_pinned(self):
+        # A changed digest orphans every stored result: that needs a
+        # CACHE_FORMAT_VERSION bump, not a silent change.
+        assert sweep_key(WORKLOAD, DesignPoint()) == (
+            "da5e31252d65aecc6bb1fe671591d96bd646b43c117cd40119c2b7a51e5eb941")
+        assert sweep_key(
+            WORKLOAD, DesignPoint(mem_interface="cache", cache_size_kb=8.0),
+            SoCConfig(bus_width_bits=64)) == (
+            "2afd1d532bc6840b47f9c91400a86f13d00ba3d9416b7c82861537b6522d0389")
+
+    def test_keyed_payloads_match_key_and_payload(self):
+        designs = quick_designs() + [DesignPoint(mem_interface="cache")]
+        cfg = SoCConfig(bus_width_bits=64)
+        assert keyed_payloads(WORKLOAD, designs, cfg) == [
+            (sweep_key(WORKLOAD, d, cfg), key_payload(WORKLOAD, d, cfg))
+            for d in designs]
+
+    def test_cached_sweep_canonicalizes_each_design_once(self, tmp_path,
+                                                          monkeypatch):
+        import repro.core.sweeppool as sweeppool
+        calls = []
+        real = sweeppool.canonical_design_fields
+
+        def counting(design):
+            calls.append(design)
+            return real(design)
+
+        monkeypatch.setattr(sweeppool, "canonical_design_fields", counting)
+        designs = quick_designs()
+        run_sweep_pool(WORKLOAD, designs, cache_dir=str(tmp_path),
+                       write_manifest=False)
+        assert calls == designs
 
 
 class TestSweepCache:

@@ -201,6 +201,25 @@ class TestQuery:
         assert response["missing"] == 1
         assert len(response["results"]) == 2
 
+    def test_warm_lookups_canonicalize_each_design_once(self, service,
+                                                        monkeypatch):
+        import repro.core.sweeppool as sweeppool
+        designs = quick_designs(3)
+        service.submit(WORKLOAD, designs)
+        calls = []
+        real = sweeppool.canonical_design_fields
+
+        def counting(design):
+            calls.append(design)
+            return real(design)
+
+        monkeypatch.setattr(sweeppool, "canonical_design_fields", counting)
+        service.submit(WORKLOAD, designs)
+        assert calls == designs
+        calls.clear()
+        service.query("sweep", WORKLOAD, designs=designs, evaluate=False)
+        assert calls == designs
+
     def test_pareto_and_edp_match_direct_reduction(self, service):
         from repro.core.pareto import edp_optimal, pareto_frontier
         designs = quick_designs(4)
