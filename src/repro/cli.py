@@ -60,7 +60,7 @@ from repro.core.config import DesignPoint, SoCConfig
 from repro.core.pareto import reducible, sweep_pareto
 from repro.core.reporting import breakdown_table, format_table, pareto_table, percent
 from repro.core.soc import run_design
-from repro.core.sweep import cache_design_space, dma_design_space
+from repro.core.sweep import FIDELITIES, cache_design_space, dma_design_space
 from repro.workloads import cached_ddg, get_workload, workload_names
 
 
@@ -227,7 +227,7 @@ def build_parser():
     serve_p.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="result store directory "
                               "(default .sweep-cache)")
-    serve_p.add_argument("--fidelity", choices=("exact", "fast", "auto"),
+    serve_p.add_argument("--fidelity", choices=FIDELITIES,
                          default=None,
                          help="evaluation tier for cold points (default: "
                               "auto where a calibration exists, exact "
@@ -263,7 +263,7 @@ def build_parser():
                          default="both")
     query_p.add_argument("--density", default="standard",
                          choices=("quick", "standard", "full"))
-    query_p.add_argument("--fidelity", choices=("exact", "fast", "auto"),
+    query_p.add_argument("--fidelity", choices=FIDELITIES,
                          default=None,
                          help="evaluation tier for cold points "
                               "(default: the server's)")
@@ -445,7 +445,7 @@ def _add_sweep_engine_args(parser):
 
 
 def _add_fidelity_args(parser):
-    parser.add_argument("--fidelity", choices=("exact", "fast", "auto"),
+    parser.add_argument("--fidelity", choices=FIDELITIES,
                         default="exact",
                         help="simulation tier: exact co-simulation "
                              "(default), calibrated analytic predictions "
@@ -605,9 +605,10 @@ def cmd_profile(args, out):
     design = design_from_args(args)
     profiler = EventProfiler()
     checker = _checker_from_args(args)
-    result = run_design(args.workload, design, config_from_args(args),
-                        profiler=profiler,
-                        check=checker if checker is not None else False)
+    with _debug_flags(args):
+        result = run_design(args.workload, design, config_from_args(args),
+                            profiler=profiler,
+                            check=checker if checker is not None else False)
     out(f"workload : {args.workload}")
     out(f"design   : {design!r}")
     out(f"time     : {result.time_us:.2f} us  "

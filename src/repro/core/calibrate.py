@@ -89,8 +89,6 @@ MAX_FIT_ERROR = 0.5
 
 _PAGE = 4096
 
-FIDELITIES = ("exact", "fast", "auto")
-
 
 def config_hash(cfg=None):
     """Short stable digest of a platform configuration.

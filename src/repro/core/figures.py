@@ -62,11 +62,13 @@ def set_sweep_options(**sweep):
     over the survivors (every figure reduces sweeps with Pareto/EDP
     optima, so a missing point degrades the figure rather than aborting
     it); ``fidelity="auto"`` needs per-workload calibrations persisted
-    under ``cache_dir`` (``repro calibrate``).
+    under ``cache_dir`` (``repro calibrate``).  Memoized sweeps ran
+    under the old options, so they are dropped.
     """
     check_sweep_options(sweep)
     _sweep_options.clear()
     _sweep_options.update(sweep)
+    clear_memo()
 
 
 def _sweep(workload, designs, cfg=None):

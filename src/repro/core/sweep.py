@@ -25,6 +25,9 @@ _SIZES = PARAMETER_TABLE["cache_size_kb"]
 _PORTS = PARAMETER_TABLE["cache_ports"]
 _ASSOC = PARAMETER_TABLE["cache_assoc"]
 
+#: The simulation tiers a sweep can run at (see :func:`run_sweep`).
+FIDELITIES = ("exact", "fast", "auto")
+
 _DENSITIES = {
     "quick": dict(lanes=(1, 4, 16), parts=(1, 4, 16), sizes=(4, 16),
                   ports=(1, 4), assoc=(4,)),
@@ -136,7 +139,7 @@ def run_sweep(workload, designs, cfg=None, *, parallel=None,
     ``guard_band`` overrides the calibration's validated error bound in
     ``auto`` pruning.
     """
-    if fidelity not in ("exact", "fast", "auto"):
+    if fidelity not in FIDELITIES:
         raise ValueError(f'fidelity must be "exact", "fast" or "auto", '
                          f'got {fidelity!r}')
     pool = _pool_options(parallel, engine)

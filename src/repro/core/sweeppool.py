@@ -320,6 +320,16 @@ class SweepCache:
 
 # -- sweep metrics ------------------------------------------------------------
 
+def _mean(values):
+    return sum(values) / len(values)
+
+
+def _finite(values, reduce):
+    """``reduce`` over the finite entries of ``values`` (0.0 if none)."""
+    finite = [v for v in values if v == v and v != float("inf")]
+    return reduce(finite) if finite else 0.0
+
+
 class SweepMetrics:
     """Counters describing where one sweep's time went.
 
@@ -337,13 +347,6 @@ class SweepMetrics:
     retry budget, ``retries`` re-issued attempts, ``timeouts`` the subset
     of failed attempts killed by the per-point wall-clock limit.
 
-    ``joins`` counts points satisfied by *someone else's* in-flight
-    evaluation (the service front door's dedup — see
-    :mod:`repro.serve.service`).  A joined point is neither a cache hit
-    nor a local evaluation, so ``points`` partitions into ``cache_hits``
-    + ``joins`` + ``evaluated`` + ``failures`` wherever the service is
-    involved and joins stay out of ``point_seconds`` / utilization.
-
     Tiered-fidelity counters (see :mod:`repro.core.calibrate`):
     ``fast_points`` analytic predictions made, ``pruned`` points the
     triage skipped exactly, ``confirmed`` points re-evaluated exactly
@@ -355,32 +358,51 @@ class SweepMetrics:
     dead or timed-out workers count too), ``worker_peak_rss_mb`` the
     largest peak resident set any of its workers reported.  Warm workers
     outlive the sweep, so this is where their memory stays visible.
+
+    Points the service front door satisfies by joining another client's
+    in-flight evaluation never reach the engine, so they appear in no
+    counter here; the service counts them per request (``report["joins"]``
+    of :meth:`repro.serve.service.SweepService.submit`) and fleet-wide
+    (:class:`repro.serve.service.ServiceMetrics`).
     """
 
+    #: Every reported value, declared once in :meth:`as_dict` order:
+    #: ``(name, initial value, registry description)``.  An initial value
+    #: of ``None`` marks a property derived from the raw counters; a
+    #: description of ``None`` keeps the value out of :meth:`reg_stats`.
+    FIELDS = (
+        ("points", 0, "design points requested"),
+        ("evaluated", 0, "points evaluated exactly"),
+        ("cache_hits", 0, "points served from cache"),
+        ("failures", 0, "points that exhausted retries"),
+        ("retries", 0, "re-issued attempts"),
+        ("timeouts", 0, "attempts killed by the per-point timeout"),
+        ("workers_spawned", 0, "pool worker processes started"),
+        ("worker_peak_rss_mb", 0.0, "largest pool worker peak RSS (MB)"),
+        ("jobs", 1, None),
+        ("wall_seconds", 0.0, None),
+        ("seconds_per_point", None, None),
+        ("worker_utilization", None, None),
+        ("fast_points", 0, "analytic fast-model predictions"),
+        ("pruned", 0, "points pruned by fast-model triage"),
+        ("confirmed", 0, "triaged points confirmed exactly"),
+        ("fast_time_error_max", None, "max fast-vs-exact time error"),
+        ("fast_time_error_mean", None, None),
+        ("fast_power_error_max", None, "max fast-vs-exact power error"),
+        ("fast_power_error_mean", None, None),
+    )
+
     def __init__(self):
-        self.points = 0
-        self.cache_hits = 0
-        self.joins = 0
-        self.evaluated = 0
-        self.failures = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.workers_spawned = 0
-        self.worker_peak_rss_mb = 0.0
-        self.jobs = 1
-        self.wall_seconds = 0.0
+        for name, initial, _desc in self.FIELDS:
+            if initial is not None:
+                setattr(self, name, initial)
         self.point_seconds = []
-        self.fast_points = 0
-        self.pruned = 0
-        self.confirmed = 0
         self.fast_time_errors = []
         self.fast_power_errors = []
 
     @property
     def seconds_per_point(self):
-        if not self.point_seconds:
-            return 0.0
-        return sum(self.point_seconds) / len(self.point_seconds)
+        return _mean(self.point_seconds) if self.point_seconds else 0.0
 
     @property
     def worker_utilization(self):
@@ -389,109 +411,24 @@ class SweepMetrics:
         return min(sum(self.point_seconds)
                    / (self.wall_seconds * self.jobs), 1.0)
 
-    @staticmethod
-    def _finite_max(values):
-        finite = [v for v in values if v == v and v != float("inf")]
-        return max(finite) if finite else 0.0
-
-    @staticmethod
-    def _finite_mean(values):
-        finite = [v for v in values if v == v and v != float("inf")]
-        return sum(finite) / len(finite) if finite else 0.0
-
-    @property
-    def fast_time_error_max(self):
-        return self._finite_max(self.fast_time_errors)
-
-    @property
-    def fast_time_error_mean(self):
-        return self._finite_mean(self.fast_time_errors)
-
-    @property
-    def fast_power_error_max(self):
-        return self._finite_max(self.fast_power_errors)
-
-    @property
-    def fast_power_error_mean(self):
-        return self._finite_mean(self.fast_power_errors)
-
-    def merge(self, other):
-        """Fold another sweep's counters into this one (multi-sweep runs)."""
-        self.points += other.points
-        self.cache_hits += other.cache_hits
-        self.joins += other.joins
-        self.evaluated += other.evaluated
-        self.failures += other.failures
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.workers_spawned += other.workers_spawned
-        self.worker_peak_rss_mb = max(self.worker_peak_rss_mb,
-                                      other.worker_peak_rss_mb)
-        self.jobs = max(self.jobs, other.jobs)
-        self.wall_seconds += other.wall_seconds
-        self.point_seconds.extend(other.point_seconds)
-        self.fast_points += other.fast_points
-        self.pruned += other.pruned
-        self.confirmed += other.confirmed
-        self.fast_time_errors.extend(other.fast_time_errors)
-        self.fast_power_errors.extend(other.fast_power_errors)
-        return self
+    fast_time_error_max = property(
+        lambda self: _finite(self.fast_time_errors, max))
+    fast_time_error_mean = property(
+        lambda self: _finite(self.fast_time_errors, _mean))
+    fast_power_error_max = property(
+        lambda self: _finite(self.fast_power_errors, max))
+    fast_power_error_mean = property(
+        lambda self: _finite(self.fast_power_errors, _mean))
 
     def as_dict(self):
-        return {
-            "points": self.points,
-            "evaluated": self.evaluated,
-            "cache_hits": self.cache_hits,
-            "joins": self.joins,
-            "failures": self.failures,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "workers_spawned": self.workers_spawned,
-            "worker_peak_rss_mb": self.worker_peak_rss_mb,
-            "jobs": self.jobs,
-            "wall_seconds": self.wall_seconds,
-            "seconds_per_point": self.seconds_per_point,
-            "worker_utilization": self.worker_utilization,
-            "fast_points": self.fast_points,
-            "pruned": self.pruned,
-            "confirmed": self.confirmed,
-            "fast_time_error_max": self.fast_time_error_max,
-            "fast_time_error_mean": self.fast_time_error_mean,
-            "fast_power_error_max": self.fast_power_error_max,
-            "fast_power_error_mean": self.fast_power_error_mean,
-        }
+        return {name: getattr(self, name) for name, _init, _d in self.FIELDS}
 
     def reg_stats(self, registry, prefix="sweep"):
         """Mirror these counters into an :mod:`repro.obs` stats registry."""
-        scalars = [
-            ("points", "design points requested", lambda: self.points),
-            ("evaluated", "points evaluated exactly", lambda: self.evaluated),
-            ("cache_hits", "points served from cache",
-             lambda: self.cache_hits),
-            ("joins", "points satisfied by joining an in-flight "
-             "evaluation", lambda: self.joins),
-            ("failures", "points that exhausted retries",
-             lambda: self.failures),
-            ("retries", "re-issued attempts", lambda: self.retries),
-            ("timeouts", "attempts killed by the per-point timeout",
-             lambda: self.timeouts),
-            ("workers_spawned", "pool worker processes started",
-             lambda: self.workers_spawned),
-            ("worker_peak_rss_mb", "largest pool worker peak RSS (MB)",
-             lambda: self.worker_peak_rss_mb),
-            ("fast_points", "analytic fast-model predictions",
-             lambda: self.fast_points),
-            ("pruned", "points pruned by fast-model triage",
-             lambda: self.pruned),
-            ("confirmed", "triaged points confirmed exactly",
-             lambda: self.confirmed),
-            ("fast_time_error_max", "max fast-vs-exact time error",
-             lambda: self.fast_time_error_max),
-            ("fast_power_error_max", "max fast-vs-exact power error",
-             lambda: self.fast_power_error_max),
-        ]
-        for name, desc, getter in scalars:
-            registry.scalar(f"{prefix}.{name}", getter=getter, desc=desc)
+        for name, _initial, desc in self.FIELDS:
+            if desc is not None:
+                registry.scalar(f"{prefix}.{name}", desc=desc,
+                                getter=lambda name=name: getattr(self, name))
 
     def report(self):
         """Human-readable multi-line summary."""
@@ -501,9 +438,6 @@ class SweepMetrics:
             f"  evaluated    : {self.evaluated}",
             f"  cache hits   : {self.cache_hits}",
         ]
-        if self.joins:
-            lines.append(f"  joins        : {self.joins} "
-                         f"(in-flight dedup)")
         if self.failures or self.retries or self.timeouts:
             lines.append(f"  failures     : {self.failures} "
                          f"({self.timeouts} timed out, "

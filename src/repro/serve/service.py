@@ -37,7 +37,13 @@ from collections import deque
 
 from repro.core.config import SoCConfig
 from repro.core.export import result_record
-from repro.core.pareto import edp_optimal, pareto_frontier
+from repro.core.pareto import edp_optimal, pareto_frontier, reducible
+from repro.core.sweep import (
+    FIDELITIES,
+    cache_design_space,
+    dma_design_space,
+    run_sweep,
+)
 from repro.core.sweeppool import (
     _BATCH_PROBE_MIN,
     FailedPoint,
@@ -61,8 +67,6 @@ _JOIN_TIERS = {
     "fast": ("exact", "auto", "fast"),
 }
 
-_TIERS = ("exact", "fast", "auto")
-
 
 class ServiceMetrics:
     """Fleet-level counters for one :class:`SweepService`.
@@ -76,20 +80,31 @@ class ServiceMetrics:
     any number of client threads plus the dispatcher.
     """
 
-    _COUNTERS = ("requests", "points", "hits", "joins", "dispatches",
-                 "evaluated", "failures", "batches")
+    #: Every reported value, declared once in :meth:`snapshot` order:
+    #: ``(name, initial value, registry description)``.  An initial value
+    #: of ``None`` marks a latency percentile derived from the window.
+    FIELDS = (
+        ("requests", 0, "client requests served"),
+        ("points", 0, "design points requested"),
+        ("hits", 0, "points answered from the result store"),
+        ("joins", 0, "points deduplicated onto an in-flight evaluation"),
+        ("dispatches", 0, "points evaluated fresh (at most one per "
+         "unique point)"),
+        ("evaluated", 0, "dispatched points that completed"),
+        ("failures", 0, "dispatched points that failed"),
+        ("batches", 0, "coalesced engine batches"),
+        ("queue_depth", 0, "points queued awaiting dispatch"),
+        ("latency_p50", None, "median request latency (s)"),
+        ("latency_p95", None, "95th-percentile request latency (s)"),
+    )
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self.requests = 0
-        self.points = 0
-        self.hits = 0
-        self.joins = 0
-        self.dispatches = 0
-        self.evaluated = 0
-        self.failures = 0
-        self.batches = 0
-        self.queue_depth = 0
+        # Re-entrant so snapshot() can read the percentile properties,
+        # which lock on their own, inside one consistent view.
+        self._lock = threading.RLock()
+        for name, initial, _desc in self.FIELDS:
+            if initial is not None:
+                setattr(self, name, initial)
         self.latencies = deque(maxlen=LATENCY_WINDOW)
 
     def bump(self, **counts):
@@ -118,37 +133,13 @@ class ServiceMetrics:
     def snapshot(self):
         """One consistent JSON-able view of every counter."""
         with self._lock:
-            out = {name: getattr(self, name) for name in self._COUNTERS}
-            out["queue_depth"] = self.queue_depth
-            out["latency_p50"] = percentile(self.latencies, 50)
-            out["latency_p95"] = percentile(self.latencies, 95)
-        return out
+            return {name: getattr(self, name) for name, _i, _d in self.FIELDS}
 
     def reg_stats(self, registry, prefix="serve"):
         """Mirror the counters into an :mod:`repro.obs` stats registry."""
-        scalars = [
-            ("requests", "client requests served", lambda: self.requests),
-            ("points", "design points requested", lambda: self.points),
-            ("hits", "points answered from the result store",
-             lambda: self.hits),
-            ("joins", "points deduplicated onto an in-flight evaluation",
-             lambda: self.joins),
-            ("dispatches", "points evaluated fresh (at most one per "
-             "unique point)", lambda: self.dispatches),
-            ("evaluated", "dispatched points that completed",
-             lambda: self.evaluated),
-            ("failures", "dispatched points that failed",
-             lambda: self.failures),
-            ("batches", "coalesced engine batches", lambda: self.batches),
-            ("queue_depth", "points queued awaiting dispatch",
-             lambda: self.queue_depth),
-            ("latency_p50", "median request latency (s)",
-             lambda: self.latency_p50),
-            ("latency_p95", "95th-percentile request latency (s)",
-             lambda: self.latency_p95),
-        ]
-        for name, desc, getter in scalars:
-            registry.scalar(f"{prefix}.{name}", getter=getter, desc=desc)
+        for name, _initial, desc in self.FIELDS:
+            registry.scalar(f"{prefix}.{name}", desc=desc,
+                            getter=lambda name=name: getattr(self, name))
 
 
 class _Inflight:
@@ -189,9 +180,10 @@ class SweepService:
 
     def __init__(self, cache_dir, jobs=None, cfg=None, fidelity=None,
                  batch_window=0.02):
-        if fidelity is not None and fidelity not in _TIERS:
+        if fidelity is not None and fidelity not in FIDELITIES:
             raise ValueError(
-                f"fidelity must be one of {_TIERS} or None, got {fidelity!r}")
+                f"fidelity must be one of {FIDELITIES} or None, "
+                f"got {fidelity!r}")
         self.cache_dir = cache_dir
         self.cache = SweepCache(cache_dir)
         self.jobs = jobs
@@ -293,9 +285,9 @@ class SweepService:
         if tier is None:
             tier = ("auto" if self._calibration(workload, cfg) is not None
                     else "exact")
-        elif tier not in _TIERS:
+        elif tier not in FIDELITIES:
             raise ValueError(
-                f"fidelity must be one of {_TIERS}, got {tier!r}")
+                f"fidelity must be one of {FIDELITIES}, got {tier!r}")
         if tier != "exact" and self._calibration(workload, cfg) is None:
             raise CalibrationError(
                 f"no calibration for {workload!r} under {self.cache_dir!r} "
@@ -305,20 +297,14 @@ class SweepService:
 
     # -- the front door ------------------------------------------------------
 
-    def submit(self, workload, designs, cfg=None, fidelity=None,
-               metrics=None):
+    def submit(self, workload, designs, cfg=None, fidelity=None):
         """Evaluate ``designs`` with fleet-wide dedup.
 
         Blocks until every point resolves and returns ``(results,
         report)``: results in input order (``FailedPoint`` in the slot
         of anything that failed — the service never raises for a bad
         point) and a report dict with the per-request provenance counts
-        (``hits`` / ``joins`` / ``dispatches``).
-
-        ``metrics`` (a :class:`~repro.core.sweeppool.SweepMetrics`) is
-        filled with this *request's* view: joined points land in
-        ``joins`` — they are neither cache hits nor local evaluations,
-        so utilisation and per-point timings stay truthful.
+        (``hits`` / ``joins`` / ``dispatches`` / ``failures``).
         """
         with self._lock:
             if self._closed:
@@ -379,17 +365,6 @@ class SweepService:
             if getattr(results[i], "is_failure", False):
                 report["failures"] += 1
 
-        if metrics is not None:
-            metrics.points += len(designs)
-            metrics.cache_hits += report["hits"]
-            metrics.joins += report["joins"]
-            for (kind, _obj), result in zip(slots, results):
-                if kind != "dispatch":
-                    continue
-                if getattr(result, "is_failure", False):
-                    metrics.failures += 1
-                else:
-                    metrics.evaluated += 1
         self.metrics.bump(requests=1, points=len(designs),
                           hits=report["hits"], joins=report["joins"],
                           dispatches=report["dispatches"])
@@ -440,7 +415,6 @@ class SweepService:
         waiters with a :class:`FailedPoint` instead of killing the
         dispatcher thread.
         """
-        from repro.core.sweep import run_sweep
         workload = entries[0].workload
         cfg = entries[0].cfg
         tier = entries[0].tier
@@ -528,8 +502,12 @@ class SweepService:
                       "tier": "warm"}
             self.metrics.bump(requests=1, points=len(designs),
                               hits=report["hits"])
-        ok = [r for r in results
-              if r is not None and not getattr(r, "is_failure", False)]
+        # One rule with `repro sweep`, sweep_pareto and the figures:
+        # failures drop out, and so, under "auto", do the unconfirmed
+        # predictions the triage guarantees are dominated.  Under "fast"
+        # store hits and predictions pool together.
+        pool = reducible([r for r in results if r is not None],
+                         report["tier"])
         response = {
             "kind": kind,
             "workload": workload,
@@ -538,14 +516,8 @@ class SweepService:
             "service": report,
         }
         if kind == "sweep":
-            response["results"] = [self._record(r) for r in ok]
+            response["results"] = [self._record(r) for r in pool]
             return response
-        # Frontier/EDP reductions are only meaningful over real
-        # measurements: unconfirmed fast predictions are excluded (the
-        # auto triage guarantees the dropped points are dominated).
-        confirmed = [r for r in ok
-                     if getattr(r, "fidelity", "exact") == "exact"]
-        pool = confirmed if confirmed else ok
         if kind == "pareto":
             response["frontier"] = [self._record(r)
                                     for r in pareto_frontier(pool)]
@@ -569,7 +541,6 @@ class SweepService:
 
     @staticmethod
     def _space(space, density):
-        from repro.core.sweep import cache_design_space, dma_design_space
         if space == "dma":
             return dma_design_space(density)
         if space == "cache":

@@ -165,10 +165,19 @@ class TestCommands:
         assert code == 0
         assert obs_trace.active_flags() == []
 
-    def test_run_rejects_unknown_debug_flag(self):
+    @pytest.mark.parametrize("command", ["run", "stats", "trace",
+                                         "profile"])
+    def test_run_rejects_unknown_debug_flag(self, command, tmp_path):
         from repro.errors import ConfigError
         with pytest.raises(ConfigError, match="bogus"):
-            run_cli(["run", "aes-aes", "--debug-flags", "bogus"])
+            run_cli([command, "aes-aes", "--debug-flags", "bogus"]
+                    + (["-o", str(tmp_path / "t.json")]
+                       if command == "trace" else []))
+
+    def test_profile_honours_debug_flags(self, capsys):
+        code, _text = run_cli(["profile", "aes-aes", "--debug-flags", "dma"])
+        assert code == 0
+        assert ": dma0: " in capsys.readouterr().err
 
     def test_sweep_dump_stats(self, tmp_path):
         import json

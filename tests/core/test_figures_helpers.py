@@ -46,6 +46,21 @@ class TestMemo:
         figures._memoized("k", expensive)
         assert len(calls) == 2
 
+    def test_new_sweep_options_drop_memoized_sweeps(self):
+        # A sweep memoized under one set of options must not answer for
+        # the next: the fault-injected sweep collects 8 of 9 points, the
+        # default one all 9.
+        figures.clear_memo()
+        figures.set_sweep_options(fault="raise@0", on_error="collect")
+        try:
+            faulted = figures._scenario_sweep("aes-aes", "dma32", "quick")
+        finally:
+            figures.set_sweep_options()
+        assert len(faulted) == 8
+        assert len(figures._scenario_sweep("aes-aes", "dma32",
+                                           "quick")) == 9
+        figures.clear_memo()
+
 
 class TestFigureSubsets:
     def test_fig6_workloads_span_dma_time_range(self):

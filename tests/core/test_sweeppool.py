@@ -287,14 +287,53 @@ class TestMetrics:
         assert "cache hits" in text
         assert "worker util" in text
 
-    def test_merge(self):
-        a, b = SweepMetrics(), SweepMetrics()
-        a.points, a.evaluated, a.point_seconds = 3, 3, [0.1, 0.2, 0.3]
-        b.points, b.cache_hits = 2, 2
-        a.merge(b)
-        assert a.points == 5
-        assert a.cache_hits == 2
-        assert a.evaluated == 3
+    def test_dict_keys_pinned(self):
+        assert list(SweepMetrics().as_dict()) == [
+            "points", "evaluated", "cache_hits", "failures", "retries",
+            "timeouts", "workers_spawned", "worker_peak_rss_mb", "jobs",
+            "wall_seconds", "seconds_per_point", "worker_utilization",
+            "fast_points", "pruned", "confirmed", "fast_time_error_max",
+            "fast_time_error_mean", "fast_power_error_max",
+            "fast_power_error_mean"]
+
+    def test_registry_names_and_descriptions_pinned(self):
+        from repro.obs.stats import StatRegistry
+        registry = StatRegistry()
+        SweepMetrics().reg_stats(registry)
+        assert [(n, registry[n].desc) for n in registry.names()] == [
+            ("sweep.points", "design points requested"),
+            ("sweep.evaluated", "points evaluated exactly"),
+            ("sweep.cache_hits", "points served from cache"),
+            ("sweep.failures", "points that exhausted retries"),
+            ("sweep.retries", "re-issued attempts"),
+            ("sweep.timeouts", "attempts killed by the per-point timeout"),
+            ("sweep.workers_spawned", "pool worker processes started"),
+            ("sweep.worker_peak_rss_mb",
+             "largest pool worker peak RSS (MB)"),
+            ("sweep.fast_points", "analytic fast-model predictions"),
+            ("sweep.pruned", "points pruned by fast-model triage"),
+            ("sweep.confirmed", "triaged points confirmed exactly"),
+            ("sweep.fast_time_error_max", "max fast-vs-exact time error"),
+            ("sweep.fast_power_error_max",
+             "max fast-vs-exact power error")]
+
+    def test_registry_reads_live_values(self):
+        from repro.obs.stats import StatRegistry
+        metrics = SweepMetrics()
+        registry = StatRegistry()
+        metrics.reg_stats(registry)
+        metrics.points, metrics.fast_time_errors = 4, [0.5, float("nan")]
+        assert registry.value("sweep.points") == 4
+        assert registry.value("sweep.fast_time_error_max") == 0.5
+
+    def test_fast_errors_skip_non_finite(self):
+        metrics = SweepMetrics()
+        metrics.fast_time_errors = [0.1, float("nan"), 0.3, float("inf")]
+        assert metrics.fast_time_error_max == 0.3
+        assert metrics.fast_time_error_mean == pytest.approx(0.2)
+        metrics.fast_power_errors = [float("nan")]
+        assert metrics.fast_power_error_max == 0.0
+        assert metrics.fast_power_error_mean == 0.0
 
 
 class TestCanonicalKeys:
@@ -489,23 +528,6 @@ class TestServicePlumbing:
         run_sweep_pool(WORKLOAD, quick_designs(2), cache_dir=str(tmp_path),
                        metrics=metrics)
         assert metrics.cache_hits == 2
-
-    def test_joins_counter_in_dict_report_and_merge(self):
-        metrics = SweepMetrics()
-        metrics.points, metrics.joins = 3, 3
-        assert metrics.as_dict()["joins"] == 3
-        assert "joins" in metrics.report()
-        other = SweepMetrics()
-        other.joins = 2
-        assert metrics.merge(other).joins == 5
-
-    def test_joins_mirrored_into_stats_registry(self):
-        from repro.obs.stats import StatRegistry
-        metrics = SweepMetrics()
-        metrics.joins = 4
-        registry = StatRegistry()
-        metrics.reg_stats(registry)
-        assert registry.value("sweep.joins") == 4
 
 
 class TestBatchProbe:

@@ -120,22 +120,6 @@ class TestSubmit:
 
 
 class TestMetricsAttribution:
-    def test_joined_points_are_joins_not_hits_or_evaluations(self,
-                                                             service):
-        # Satellite regression: a joined point must land in joins —
-        # counting it as a cache hit or a local evaluation would skew
-        # utilization and per-point timings.
-        d = quick_designs(1)[0]
-        metrics = SweepMetrics()
-        _results, _report = service.submit(WORKLOAD, [d, d], cfg=None,
-                                           metrics=metrics)
-        assert metrics.points == 2
-        assert metrics.joins == 1
-        assert metrics.evaluated == 1
-        assert metrics.cache_hits == 0
-        assert metrics.points == (metrics.cache_hits + metrics.joins
-                                  + metrics.evaluated + metrics.failures)
-
     def test_service_metrics_partition(self, service):
         designs = quick_designs(2)
         service.submit(WORKLOAD, designs)
@@ -148,6 +132,28 @@ class TestMetricsAttribution:
                 == snap["points"])
         assert snap["latency_p50"] > 0
         assert snap["latency_p95"] >= snap["latency_p50"]
+
+    def test_registry_names_and_descriptions_pinned(self, service):
+        from repro.obs.stats import StatRegistry
+        registry = StatRegistry()
+        service.reg_stats(registry)
+        engine = StatRegistry()
+        SweepMetrics().reg_stats(engine, prefix="serve.engine")
+        assert [(n, registry[n].desc) for n in registry.names()] == [
+            ("serve.requests", "client requests served"),
+            ("serve.points", "design points requested"),
+            ("serve.hits", "points answered from the result store"),
+            ("serve.joins",
+             "points deduplicated onto an in-flight evaluation"),
+            ("serve.dispatches",
+             "points evaluated fresh (at most one per unique point)"),
+            ("serve.evaluated", "dispatched points that completed"),
+            ("serve.failures", "dispatched points that failed"),
+            ("serve.batches", "coalesced engine batches"),
+            ("serve.queue_depth", "points queued awaiting dispatch"),
+            ("serve.latency_p50", "median request latency (s)"),
+            ("serve.latency_p95", "95th-percentile request latency (s)"),
+        ] + [(n, engine[n].desc) for n in engine.names()]
 
     def test_reg_stats_wiring(self, service):
         from repro.obs.stats import StatRegistry
@@ -175,6 +181,12 @@ class TestServiceMetricsUnit:
         snap = m.snapshot()
         assert snap["points"] == 5
         assert snap["latency_p50"] == pytest.approx(0.2)
+
+    def test_snapshot_keys_pinned(self):
+        assert list(ServiceMetrics().snapshot()) == [
+            "requests", "points", "hits", "joins", "dispatches",
+            "evaluated", "failures", "batches", "queue_depth",
+            "latency_p50", "latency_p95"]
 
     def test_percentiles_empty_window(self):
         m = ServiceMetrics()
@@ -264,6 +276,31 @@ class TestQuery:
         response = service.query("pareto", WORKLOAD,
                                  designs=quick_designs(2))
         assert json.loads(json.dumps(response)) == response
+
+
+class TestQueryReduction:
+    def test_fast_frontier_keeps_predictions_beside_store_hits(
+            self, tmp_path):
+        # What happens to be cached must not change what the frontier
+        # pools: two exact store hits beside seven fast predictions are
+        # reduced by the same rule `repro sweep` uses, so the
+        # predictions stay in.
+        from repro.core.calibrate import calibrate_workload
+        from repro.core.pareto import pareto_frontier, reducible
+        designs = dma_design_space("quick")
+        calibrate_workload(WORKLOAD, density="quick").save(str(tmp_path))
+        run_sweep(WORKLOAD, designs[:2], cache_dir=str(tmp_path))
+        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+            response = svc.query("pareto", WORKLOAD, designs=designs,
+                                 fidelity="fast")
+            assert response["service"]["hits"] == 2
+            assert response["service"]["dispatches"] == 7
+            results, _report = svc.submit(WORKLOAD, designs,
+                                          fidelity="fast")
+        assert any(r["fidelity"] == "fast" for r in response["frontier"])
+        expected = pareto_frontier(reducible(results, "fast"))
+        assert response["frontier"] == [SweepService._record(r)
+                                        for r in expected]
 
 
 class TestTieredService:
