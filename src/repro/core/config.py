@@ -47,6 +47,15 @@ def _integer(name, value):
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _boolean(name, value):
+    """``value`` if it is a ``bool``; anything else (``1``, ``[1]``,
+    ``{}``) raises :class:`ConfigError`, since ``1`` would hash to a
+    different result-store key than ``True``."""
+    if type(value) is bool:
+        return value
+    raise ConfigError(f"{name} must be a bool, got {value!r}")
+
+
 class DesignPoint:
     """One accelerator microarchitecture configuration."""
 
@@ -59,11 +68,12 @@ class DesignPoint:
         self.lanes = _integer("lanes", lanes)
         self.partitions = _integer("partitions", partitions)
         self.mem_interface = mem_interface
-        self.pipelined_dma = pipelined_dma
-        self.dma_triggered_compute = dma_triggered_compute
+        self.pipelined_dma = _boolean("pipelined_dma", pipelined_dma)
+        self.dma_triggered_compute = _boolean("dma_triggered_compute",
+                                              dma_triggered_compute)
         # Section IV-B2: double buffering = full/empty bits tracked at
         # half-array granularity instead of cache-line granularity.
-        self.double_buffer = double_buffer
+        self.double_buffer = _boolean("double_buffer", double_buffer)
         # Loop-pipelining discipline of the datapath (Section IV-D
         # describes the synchronizing variant):
         #   "barriers" — iteration rounds synchronize (default);
@@ -83,7 +93,7 @@ class DesignPoint:
         self.prefetcher = prefetcher
         self.spad_ports = _integer("spad_ports", spad_ports)
         # Burger-decomposition idealization (Figure 7 "processing time").
-        self.perfect_memory = perfect_memory
+        self.perfect_memory = _boolean("perfect_memory", perfect_memory)
         self.validate()
 
     def validate(self):

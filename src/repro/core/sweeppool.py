@@ -14,7 +14,9 @@ sweeps run as fast as the hardware allows:
   SHA-256 hash of ``(workload, DesignPoint, SoCConfig)`` stores every
   evaluated :class:`~repro.core.metrics.RunResult` (pickled).  Repeated
   figure or benchmark runs pay each design point exactly once; a warm
-  cache evaluates zero new points.
+  cache evaluates zero new points.  Both the cache's reads and the keys
+  (:func:`keyed_payloads`) are also memoized in process, within fixed
+  bounds, so a repeated warm query neither decodes nor hashes again.
 
 * **Metrics** — a :class:`SweepMetrics` record (in the spirit of
   :mod:`repro.sim.stats` counters) reports points evaluated vs. cache
@@ -77,7 +79,7 @@ import threading
 import time
 import traceback as _traceback
 import warnings
-from collections import deque
+from collections import OrderedDict, deque
 from numbers import Integral, Real
 from types import SimpleNamespace
 
@@ -182,12 +184,105 @@ def sweep_key(workload, design, cfg=None):
     return _payload_key(key_payload(workload, design, cfg))
 
 
+class _Memo:
+    """A bounded, lock-guarded LRU map; ``fills`` counts insertions."""
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.fills = 0
+        self._lock = threading.Lock()
+        self._table = OrderedDict()
+
+    def get(self, key):
+        with self._lock:
+            value = self._table.get(key)
+            if value is not None:
+                self._table.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        with self._lock:
+            self._table[key] = value
+            self._table.move_to_end(key)
+            self.fills += 1
+            if len(self._table) > self.bound:
+                self._table.popitem(last=False)
+
+    def discard(self, key):
+        with self._lock:
+            self._table.pop(key, None)
+
+    def clear(self):
+        with self._lock:
+            self._table.clear()
+
+
+#: Bound of the design-key memo behind :func:`keyed_payloads`.  An entry
+#: (raw identity, key and payload, the canonical config shared) costs
+#: about 1.5 KB, so a full memo holds about 3 MB.
+KEY_MEMO_ENTRIES = 2048
+
+#: Field value types the key memo accepts; any other value (a list set
+#: after construction, a ``str`` subclass) is canonicalized afresh.
+_MEMO_SCALARS = frozenset((bool, int, float, str, type(None)))
+
+_KEYS = _Memo(KEY_MEMO_ENTRIES)     # (workload, design id, cfg id) -> keyed
+_CONFIGS = _Memo(KEY_MEMO_ENTRIES)  # cfg id -> canonical config fields
+
+
+def _raw_identity(obj):
+    """Hashable identity of ``obj``'s raw fields, or None.
+
+    Each value travels with its exact type, so values that compare equal
+    but canonicalize differently (``True`` vs ``1``) stay apart.  Only
+    plain scalars qualify: a container could hide such a pair inside
+    (``(1,) == (True,)``), so an object holding one is not memoized.
+    """
+    fields = obj.__dict__
+    types = tuple(map(type, fields.values()))
+    if not _MEMO_SCALARS.issuperset(types):
+        return None
+    return type(obj), tuple(fields), tuple(fields.values()), types
+
+
+def _shared_config(cfg, cfg_id):
+    """``cfg``'s canonical fields, one dict per raw config identity."""
+    config = _CONFIGS.get(cfg_id)
+    if config is None:
+        config = canonical_config_fields(cfg)
+        if cfg_id is not None:
+            _CONFIGS.put(cfg_id, config)
+    return config
+
+
 def keyed_payloads(workload, designs, cfg=None):
-    """``[(sweep_key, key_payload)]`` per design, canonicalizing each once."""
+    """``[(sweep_key, key_payload)]`` per design.
+
+    Memoized per raw ``(workload, design fields, config fields)``
+    identity (bounded by :data:`KEY_MEMO_ENTRIES`), so a design seen
+    before is neither canonicalized nor hashed again; the first sight
+    canonicalizes it once.  Payloads under one config share one
+    canonical config dict.  The returned payloads are shared with the
+    memo: callers must not mutate them.
+    """
+    cfg = cfg or SoCConfig()
+    cfg_id = _raw_identity(cfg)
     out = []
     for design in designs:
-        payload = key_payload(workload, design, cfg)
-        out.append((_payload_key(payload), payload))
+        design_id = _raw_identity(design)
+        memo_key = (workload, design_id, cfg_id)
+        keyed = _KEYS.get(memo_key)
+        if keyed is None:
+            payload = {
+                "version": CACHE_FORMAT_VERSION,
+                "workload": workload,
+                "design": canonical_design_fields(design),
+                "config": _shared_config(cfg, cfg_id),
+            }
+            keyed = (_payload_key(payload), payload)
+            if design_id is not None and cfg_id is not None:
+                _KEYS.put(memo_key, keyed)
+        out.append(keyed)
     return out
 
 
@@ -198,6 +293,13 @@ def keyed_payloads(workload, designs, cfg=None):
 _BATCH_PROBE_MIN = 64
 
 
+#: Bound of each :class:`SweepCache`'s in-process memo.  A decoded
+#: entry costs about 8 KB against 1.7 KB pickled on disk (``aes-aes``
+#: quick grid: the ``RunResult`` about 3.6 KB, its stored payload and
+#: wrapper the rest), so a full memo holds about 8 MB.
+STORE_MEMO_ENTRIES = 1024
+
+
 class SweepCache:
     """Pickle-per-point result cache under one root directory.
 
@@ -205,36 +307,55 @@ class SweepCache:
     sharing a cache directory never observe torn entries; unreadable or
     mismatched entries read as misses.
 
+    Reads are memoized: each instance keeps a bounded, lock-guarded
+    in-process memo of ``key -> (stored payload, RunResult)`` holding
+    the :data:`STORE_MEMO_ENTRIES` most recently read entries.  Only a
+    successful disk read fills it (never :meth:`put`, which drops the
+    key), so a corrupt or unreadable entry still reads as a miss, and a
+    memo hit applies the same payload collision guard as a disk read.
+    :attr:`reads` counts the entries decoded from disk.  An entry that
+    another process deletes keeps answering from memory until it is
+    evicted or :meth:`clear` runs; results are deterministic per key,
+    so the answer is still the right one.
+
     Batch reads go through :meth:`get_many`, backed by a lazily built
     in-memory key index (one directory scan): probing a large, mostly
     warm query then costs one ``os.walk`` plus a read per *present*
-    entry instead of a failed ``open`` per point.  The index is a
-    fast-path hint, not a source of truth — a key another process adds
-    after the scan reads as a miss until :meth:`refresh_index` (or a
-    local :meth:`put`, which updates the index) catches up, which only
-    ever costs a redundant re-evaluation, never a wrong answer.
+    entry not yet in the memo instead of a failed ``open`` per point.
+    The index is a fast-path hint, not a source of truth — a key another
+    process adds after the scan reads as a miss until
+    :meth:`refresh_index` (or a local :meth:`put`, which updates the
+    index) catches up, which only ever costs a redundant re-evaluation,
+    never a wrong answer.
     """
 
     def __init__(self, root):
         self.root = root
         self._index = None  # lazy set of known-present keys
+        self._memo = _Memo(STORE_MEMO_ENTRIES)
         os.makedirs(root, exist_ok=True)
 
     def _path(self, key):
         return os.path.join(self.root, key[:2], key + ".pkl")
 
+    @property
+    def reads(self):
+        """Store entries decoded from disk (each read fills the memo)."""
+        return self._memo.fills
+
     # -- in-memory key index (batch fast path) -------------------------------
 
     def index(self):
         """The set of cached keys, scanned lazily from the directory."""
-        if self._index is None:
+        index = self._index
+        if index is None:
             index = set()
             for _dirpath, _subdirs, files in os.walk(self.root):
                 for name in files:
                     if name.endswith(".pkl"):
                         index.add(name[:-4])
             self._index = index
-        return self._index
+        return index
 
     def refresh_index(self):
         """Drop and rebuild the key index (pick up other writers)."""
@@ -272,16 +393,22 @@ class SweepCache:
         a ``put(key, result)`` followed by a payload-verifying ``get``
         must round-trip, not read as a permanent collision miss.
         """
-        try:
-            with open(self._path(key), "rb") as f:
-                entry = pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            return None
-        stored = entry.get("key")
+        entry = self._memo.get(key)
+        if entry is None:
+            try:
+                with open(self._path(key), "rb") as f:
+                    doc = pickle.load(f)
+            except (OSError, pickle.UnpicklingError, EOFError,
+                    AttributeError, ImportError, IndexError):
+                return None
+            entry = (doc.get("key"), doc.get("result"))
+            if entry[1] is None:
+                return None
+            self._memo.put(key, entry)
+        stored, result = entry
         if payload is not None and stored is not None and stored != payload:
             return None  # hash collision or stale format: treat as miss
-        return entry.get("result")
+        return result
 
     def put(self, key, result, payload=None):
         """Atomically store ``result`` under ``key``."""
@@ -300,8 +427,10 @@ class SweepCache:
             except OSError:
                 pass
             raise
-        if self._index is not None:
-            self._index.add(key)
+        self._memo.discard(key)
+        index = self._index
+        if index is not None:
+            index.add(key)
 
     def __len__(self):
         count = 0
@@ -310,11 +439,15 @@ class SweepCache:
         return count
 
     def clear(self):
-        """Drop every cached entry (keeps the directory)."""
+        """Drop every cached entry and the memo (keeps the directory)."""
         for dirpath, _subdirs, files in os.walk(self.root):
             for name in files:
                 if name.endswith(".pkl"):
-                    os.unlink(os.path.join(dirpath, name))
+                    try:
+                        os.unlink(os.path.join(dirpath, name))
+                    except FileNotFoundError:
+                        pass  # another clear got there first
+        self._memo.clear()
         self._index = None
 
 

@@ -73,8 +73,10 @@ class ServiceMetrics:
 
     ``points`` partitions into ``hits`` + ``joins`` + ``dispatches``;
     ``evaluated``/``failures`` partition the dispatched points by
-    outcome.  ``queue_depth`` is a gauge (points queued, not yet handed
-    to the engine); per-request latencies feed a bounded sliding window
+    outcome.  ``store_reads`` counts the store entries the service
+    decoded from disk rather than answered from the store's memo.
+    ``queue_depth`` is a gauge (points queued, not yet handed to the
+    engine); per-request latencies feed a bounded sliding window
     summarized as p50/p95.  All mutation goes through :meth:`bump` /
     :meth:`observe_latency`, which take the internal lock — safe from
     any number of client threads plus the dispatcher.
@@ -82,11 +84,13 @@ class ServiceMetrics:
 
     #: Every reported value, declared once in :meth:`snapshot` order:
     #: ``(name, initial value, registry description)``.  An initial value
-    #: of ``None`` marks a latency percentile derived from the window.
+    #: of ``None`` marks a value derived on read: the store's decode
+    #: count or a latency percentile of the window.
     FIELDS = (
         ("requests", 0, "client requests served"),
         ("points", 0, "design points requested"),
         ("hits", 0, "points answered from the result store"),
+        ("store_reads", None, "store entries decoded from disk"),
         ("joins", 0, "points deduplicated onto an in-flight evaluation"),
         ("dispatches", 0, "points evaluated fresh (at most one per "
          "unique point)"),
@@ -98,10 +102,11 @@ class ServiceMetrics:
         ("latency_p95", None, "95th-percentile request latency (s)"),
     )
 
-    def __init__(self):
+    def __init__(self, store=None):
         # Re-entrant so snapshot() can read the percentile properties,
         # which lock on their own, inside one consistent view.
         self._lock = threading.RLock()
+        self.store = store  # the SweepCache whose reads are reported
         for name, initial, _desc in self.FIELDS:
             if initial is not None:
                 setattr(self, name, initial)
@@ -119,6 +124,10 @@ class ServiceMetrics:
     def observe_latency(self, seconds):
         with self._lock:
             self.latencies.append(seconds)
+
+    @property
+    def store_reads(self):
+        return self.store.reads if self.store is not None else 0
 
     @property
     def latency_p50(self):
@@ -190,7 +199,7 @@ class SweepService:
         self.default_cfg = cfg or SoCConfig()
         self.fidelity = fidelity
         self.batch_window = batch_window
-        self.metrics = ServiceMetrics()
+        self.metrics = ServiceMetrics(self.cache)
         self.sweep_metrics = SweepMetrics()  # engine-side aggregate
         self._lock = threading.Lock()
         self._inflight = {}   # key -> {tier: _Inflight}

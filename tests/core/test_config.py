@@ -114,6 +114,30 @@ class TestIntegerFields:
         assert results_to_json([floats]) == results_to_json([ints])
 
 
+BOOLEAN_FIELDS = ("pipelined_dma", "dma_triggered_compute", "double_buffer",
+                  "perfect_memory")
+
+
+class TestBooleanFields:
+    """Flags take only ``True``/``False``: ``1`` would reach a different
+    result-store key than ``True`` and be simulated twice."""
+
+    @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_accepted(self, field, value):
+        assert getattr(DesignPoint(**{field: value}), field) is value
+
+    @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+    @pytest.mark.parametrize("bad", [1, 0, [1], {}, "yes", None, 1.0])
+    def test_non_bools_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be a bool"):
+            DesignPoint(**{field: bad})
+
+    def test_replace_validates_flags(self):
+        with pytest.raises(ConfigError, match="double_buffer"):
+            DesignPoint().replace(double_buffer=1)
+
+
 class TestSoCConfig:
     def test_defaults(self):
         cfg = SoCConfig()

@@ -84,10 +84,16 @@ class TestSweepKey:
             return real(design)
 
         monkeypatch.setattr(sweeppool, "canonical_design_fields", counting)
+        monkeypatch.setattr(sweeppool, "_KEYS",
+                            sweeppool._Memo(sweeppool.KEY_MEMO_ENTRIES))
         designs = quick_designs()
         run_sweep_pool(WORKLOAD, designs, cache_dir=str(tmp_path),
                        write_manifest=False)
         assert calls == designs
+        calls.clear()
+        run_sweep_pool(WORKLOAD, designs, cache_dir=str(tmp_path),
+                       write_manifest=False)
+        assert calls == []
 
 
 class TestSweepCache:
@@ -462,6 +468,117 @@ class TestCacheIndex:
         cache.put(self._key(1), 1)
         cache.clear()
         assert cache.index() == set()
+
+
+class TestStoreMemo:
+    """Reads are memoized in process: a repeat read decodes nothing."""
+
+    def _key(self, i):
+        return f"{i:02x}" + "1" * 62
+
+    def test_repeat_get_decodes_once(self, tmp_path):
+        cache = SweepCache(str(tmp_path))
+        cache.put(self._key(1), 41, payload={"p": 1})
+        assert cache.reads == 0  # put never fills the memo
+        assert cache.get(self._key(1), payload={"p": 1}) == 41
+        assert cache.get(self._key(1), payload={"p": 1}) == 41
+        assert cache.get_many([self._key(1)]) == {self._key(1): 41}
+        assert cache.reads == 1
+
+    def test_memo_hit_applies_collision_guard(self, tmp_path):
+        cache = SweepCache(str(tmp_path))
+        cache.put(self._key(1), 41, payload={"p": 1})
+        assert cache.get(self._key(1), payload={"p": 1}) == 41
+        assert cache.get(self._key(1), payload={"p": 2}) is None
+        assert cache.reads == 1
+
+    def test_put_drops_the_memoized_entry(self, tmp_path):
+        cache = SweepCache(str(tmp_path))
+        cache.put(self._key(1), 41)
+        assert cache.get(self._key(1)) == 41
+        cache.put(self._key(1), 42)
+        assert cache.get(self._key(1)) == 42
+        assert cache.reads == 2
+
+    def test_deleted_entry_answers_until_clear(self, tmp_path):
+        cache = SweepCache(str(tmp_path))
+        cache.put(self._key(1), 41)
+        assert cache.get(self._key(1)) == 41
+        os.unlink(cache._path(self._key(1)))
+        assert cache.get(self._key(1)) == 41
+        cache.clear()
+        assert cache.get(self._key(1)) is None
+
+    def test_memo_is_bounded(self, tmp_path, monkeypatch):
+        import repro.core.sweeppool as sweeppool
+        monkeypatch.setattr(sweeppool, "STORE_MEMO_ENTRIES", 2)
+        cache = SweepCache(str(tmp_path))
+        for i in range(3):
+            cache.put(self._key(i), i)
+            assert cache.get(self._key(i)) == i
+        assert cache.get(self._key(2)) == 2  # still held
+        assert cache.get(self._key(0)) == 0  # evicted: decoded again
+        assert cache.reads == 4
+
+    def test_racing_threads_return_only_stored_values(self, tmp_path,
+                                                      monkeypatch):
+        import random
+        import threading
+
+        import repro.core.sweeppool as sweeppool
+        monkeypatch.setattr(sweeppool, "STORE_MEMO_ENTRIES", 3)
+        cache = SweepCache(str(tmp_path))
+        keys = [self._key(i) for i in range(12)]
+        value = {key: (i, "result") for i, key in enumerate(keys)}
+        payload = {key: {"i": i} for i, key in enumerate(keys)}
+        for key in keys[::2]:
+            cache.put(key, value[key], payload[key])
+        decoded = []
+        real_load = pickle.load
+
+        def counting_load(f):
+            entry = real_load(f)
+            decoded.append(1)
+            return entry
+
+        monkeypatch.setattr(pickle, "load", counting_load)
+        errors = []
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    key = rng.choice(keys)
+                    op = rng.random()
+                    if op < 0.4:
+                        got = cache.get(key, payload[key])
+                        assert got is None or got == value[key]
+                    elif op < 0.7:
+                        some = rng.sample(keys, 4)
+                        for k, got in cache.get_many(some, payload).items():
+                            assert k in some and got == value[k]
+                    elif op < 0.97:
+                        cache.put(key, value[key], payload[key])
+                    else:
+                        cache.clear()
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(seed,))
+                   for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cache.reads == len(decoded)  # no lost count
+        assert len(cache._memo._table) <= 3
 
 
 class TestConcurrentWriters:

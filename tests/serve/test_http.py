@@ -128,6 +128,8 @@ class TestErrorMapping:
         ({"lanes": 0}, "lanes"),
         ({"lanes": 2.5}, "lanes must be an integer"),
         ({"loop_pipelining": True}, "unknown design field"),
+        ({"pipelined_dma": 1}, "pipelined_dma must be a bool"),
+        ({"double_buffer": {}}, "double_buffer must be a bool"),
     ])
     def test_invalid_design_is_400_and_server_lives(self, endpoint, design,
                                                     message):

@@ -143,6 +143,7 @@ class TestMetricsAttribution:
             ("serve.requests", "client requests served"),
             ("serve.points", "design points requested"),
             ("serve.hits", "points answered from the result store"),
+            ("serve.store_reads", "store entries decoded from disk"),
             ("serve.joins",
              "points deduplicated onto an in-flight evaluation"),
             ("serve.dispatches",
@@ -184,8 +185,8 @@ class TestServiceMetricsUnit:
 
     def test_snapshot_keys_pinned(self):
         assert list(ServiceMetrics().snapshot()) == [
-            "requests", "points", "hits", "joins", "dispatches",
-            "evaluated", "failures", "batches", "queue_depth",
+            "requests", "points", "hits", "store_reads", "joins",
+            "dispatches", "evaluated", "failures", "batches", "queue_depth",
             "latency_p50", "latency_p95"]
 
     def test_percentiles_empty_window(self):
@@ -216,8 +217,6 @@ class TestQuery:
     def test_warm_lookups_canonicalize_each_design_once(self, service,
                                                         monkeypatch):
         import repro.core.sweeppool as sweeppool
-        designs = quick_designs(3)
-        service.submit(WORKLOAD, designs)
         calls = []
         real = sweeppool.canonical_design_fields
 
@@ -226,11 +225,50 @@ class TestQuery:
             return real(design)
 
         monkeypatch.setattr(sweeppool, "canonical_design_fields", counting)
+        monkeypatch.setattr(sweeppool, "_KEYS",
+                            sweeppool._Memo(sweeppool.KEY_MEMO_ENTRIES))
+        designs = quick_designs(3)
         service.submit(WORKLOAD, designs)
         assert calls == designs
         calls.clear()
+        service.submit(WORKLOAD, designs)
+        assert calls == []
         service.query("sweep", WORKLOAD, designs=designs, evaluate=False)
-        assert calls == designs
+        assert calls == []
+
+    def test_repeated_warm_query_decodes_and_canonicalizes_nothing(
+            self, tmp_path, monkeypatch):
+        import pickle
+
+        import repro.core.sweeppool as sweeppool
+        designs = dma_design_space("quick")
+        run_sweep(WORKLOAD, designs, cache_dir=str(tmp_path))
+        counts = {"load": 0, "canon": 0}
+        real_load = pickle.load
+        real_canon = sweeppool.canonical_design_fields
+
+        def counting_load(f):
+            counts["load"] += 1
+            return real_load(f)
+
+        def counting_canon(design):
+            counts["canon"] += 1
+            return real_canon(design)
+
+        monkeypatch.setattr(pickle, "load", counting_load)
+        monkeypatch.setattr(sweeppool, "canonical_design_fields",
+                            counting_canon)
+        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+            first = svc.query("pareto", WORKLOAD, space="dma",
+                              density="quick")
+            assert counts["load"] == svc.metrics.store_reads == len(designs)
+            counts.update(load=0, canon=0)
+            second = svc.query("pareto", WORKLOAD, space="dma",
+                               density="quick")
+            assert counts == {"load": 0, "canon": 0}
+            assert svc.metrics.store_reads == len(designs)
+        assert second["service"]["hits"] == len(designs)
+        assert second["frontier"] == first["frontier"]
 
     def test_pareto_and_edp_match_direct_reduction(self, service):
         from repro.core.pareto import edp_optimal, pareto_frontier
