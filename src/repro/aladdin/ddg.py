@@ -17,14 +17,13 @@ class DDDG:
         self.trace = trace
         n = trace.num_nodes
         self.num_nodes = n
-        self.successors = [[] for _ in range(n)]
-        self.indegree = [0] * n
-        self.num_edges = 0
-        for node, preds in enumerate(trace.deps):
-            self.indegree[node] = len(preds)
+        deps = trace.deps
+        self.indegree = list(map(len, deps))
+        self.num_edges = sum(self.indegree)
+        self.successors = successors = [[] for _ in range(n)]
+        for node, preds in enumerate(deps):
             for pred in preds:
-                self.successors[pred].append(node)
-                self.num_edges += 1
+                successors[pred].append(node)
 
     @property
     def roots(self):

@@ -473,7 +473,10 @@ class DatapathScheduler:
     def _cache_walker(self):
         """The walk through the cache interface (see :meth:`_spad_walker`).
         Before a TLB or cache access, which schedules events of its own, it
-        launches the issues that precede it.  Without internal arrays it
+        launches the issues that precede it.  A cache hit schedules nothing
+        and comes back as a delay, launched in key order at the next flush:
+        no event is scheduled in between, so its completion keeps the
+        sequence number the cache would have given it.  Without internal arrays it
         ends once every cache port is taken, since each access left would
         be refused before any TLB or cache call.
 
@@ -1001,9 +1004,11 @@ class CacheInterface:
     def issue(self, sched, node, cycle):
         """Try to issue one memory node this cycle.
 
-        Returns ``"retry"``/``"parked"``, ``"issued"`` (completion event
-        owned by the cache), or a completion delay in ticks (an int) for
-        fixed-latency paths, which the scheduler batches and schedules.
+        Returns ``"retry"``/``"parked"``, ``"issued"`` (the cache owns the
+        completion event: a miss, or a hit that may open a modulo round),
+        or a completion delay in ticks (an int) for fixed-latency paths —
+        internal arrays, the perfect memory and the other cache hits —
+        which the scheduler batches and schedules.
         """
         if self._node_array is None:
             self.bind(sched)
@@ -1025,12 +1030,21 @@ class CacheInterface:
             tlb.translate(vaddr, self.phys_offset,
                           lambda _paddr: sched.resume_parked(node))
             return "parked"
-        if self.cache.access(paddr, self._node_size[node],
-                             self._node_is_write[node], sched.complete_node,
-                             node, stream=array) == "blocked":
+        # A hit's completion joins the scheduler's batches, unless the
+        # node may be its round's first issue: launching that one
+        # schedules the modulo II gate before the completion, where the
+        # cache would have scheduled the completion first.
+        started = sched._round_started
+        rr = sched._node_round[node]
+        status = self.cache.access(paddr, self._node_size[node],
+                                   self._node_is_write[node],
+                                   sched.complete_node, node, stream=array,
+                                   defer_hit=(started is None or rr < 0
+                                              or started[rr]))
+        if status == "blocked":
             # The cache rejected the access (MSHRs full): refund the port
             # slot, or a blocked lane would starve peers for the whole
             # cycle on a port it never used.
             self._ports_used -= 1
             return "retry"
-        return "issued"
+        return status if type(status) is int else "issued"

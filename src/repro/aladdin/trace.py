@@ -16,6 +16,7 @@ reused across an entire design sweep.
 """
 
 import math
+import operator
 
 from repro.errors import TraceError
 from repro.aladdin.ir import Op, OP_INFO
@@ -58,6 +59,59 @@ class ArrayDecl:
         return self.length * self.word_bytes
 
 
+#: Functional semantics of each compute opcode: ``{opcode: (operand count,
+#: fn)}``.  Loads and stores have none: :meth:`TraceBuilder.load` and
+#: :meth:`TraceBuilder.store` give them theirs.
+SEMANTICS = {
+    Op.ADD: (2, operator.add),
+    Op.SUB: (2, operator.sub),
+    Op.MUL: (2, operator.mul),
+    Op.DIV: (2, lambda a, b: a // b if b else 0),
+    Op.AND: (2, lambda a, b: int(a) & int(b)),
+    Op.OR: (2, lambda a, b: int(a) | int(b)),
+    Op.XOR: (2, lambda a, b: int(a) ^ int(b)),
+    Op.SHL: (2, lambda a, b: int(a) << int(b)),
+    Op.SHR: (2, lambda a, b: int(a) >> int(b)),
+    Op.ICMP: (2, lambda a, b: 1 if a > b else 0),
+    Op.SELECT: (3, lambda cond, a, b: a if cond else b),
+    Op.FADD: (2, lambda a, b: float(a) + float(b)),
+    Op.FSUB: (2, lambda a, b: float(a) - float(b)),
+    Op.FMUL: (2, lambda a, b: float(a) * float(b)),
+    Op.FDIV: (2, lambda a, b: float(a) / float(b) if b else 0.0),
+    Op.FSQRT: (1, lambda a: math.sqrt(abs(float(a)))),
+    Op.FCMP: (2, lambda a, b: 1 if float(a) > float(b) else 0),
+}
+
+
+def _binary(opcode, doc):
+    """A :class:`TraceBuilder` method emitting the two-operand ``opcode``:
+    :meth:`TraceBuilder.op` unrolled for the kernels' commonest call."""
+    fn = SEMANTICS[opcode][1]
+
+    def binary_op(self, a, b):
+        da = db = None
+        if isinstance(a, Value):
+            da = a.node
+            a = a.value
+        if isinstance(b, Value):
+            db = b.node
+            b = b.value
+        result = fn(a, b)
+        node = len(self.node_op)
+        self.node_op.append(opcode)
+        self.node_iter.append(self._cur_iter)
+        self.node_array.append(None)
+        self.node_index.append(0)
+        if da is None:
+            self.deps.append(() if db is None else (db,))
+        else:
+            self.deps.append((da,) if db is None else (da, db))
+        return Value(node, result)
+
+    binary_op.__doc__ = doc
+    return binary_op
+
+
 class TraceBuilder:
     """Builds the dynamic trace while executing the kernel functionally."""
 
@@ -98,123 +152,107 @@ class TraceBuilder:
         return _IterationScope(self, index)
 
     # -- trace node construction --------------------------------------------------
-
-    def _emit(self, op, dep_nodes, array=None, index=0):
-        node = len(self.node_op)
-        self.node_op.append(op)
-        self.node_iter.append(self._cur_iter)
-        self.node_array.append(array)
-        self.node_index.append(index)
-        self.deps.append(tuple(d for d in dep_nodes if d is not None))
-        return node
-
-    @staticmethod
-    def _operand(value):
-        """Accept Values or plain numbers (constants have no producer)."""
-        if isinstance(value, Value):
-            return value.node, value.value
-        return None, value
+    #
+    # One path per node kind, each appending the node arrays directly: the
+    # functional result (or the loaded word) is computed first, so an op
+    # or access that raises leaves no node behind.
 
     def load(self, array, index):
         """Load word ``index`` from ``array``; returns the SSA value."""
-        decl = self._check_access(array, index)
-        last_store = self._last_store.get((array, index))
-        node = self._emit(Op.LOAD, (last_store,), array=array, index=index)
-        return Value(node, decl.data[index])
+        decl = self.arrays.get(array)
+        if decl is None or not 0 <= index < decl.length:
+            raise self._access_error(array, index)
+        value = decl.data[index]
+        prev = self._last_store.get((array, index))
+        node = len(self.node_op)
+        self.node_op.append(Op.LOAD)
+        self.node_iter.append(self._cur_iter)
+        self.node_array.append(array)
+        self.node_index.append(index)
+        self.deps.append(() if prev is None else (prev,))
+        return Value(node, value)
 
     def store(self, array, index, value):
         """Store ``value`` (a Value or constant) to ``array[index]``."""
-        decl = self._check_access(array, index)
-        dep, concrete = self._operand(value)
-        prev = self._last_store.get((array, index))
-        node = self._emit(Op.STORE, (dep, prev), array=array, index=index)
-        decl.data[index] = concrete
-        self._last_store[(array, index)] = node
+        decl = self.arrays.get(array)
+        if decl is None or not 0 <= index < decl.length:
+            raise self._access_error(array, index)
+        dep = None
+        if isinstance(value, Value):
+            dep = value.node
+            value = value.value
+        key = (array, index)
+        prev = self._last_store.get(key)
+        decl.data[index] = value
+        node = len(self.node_op)
+        self.node_op.append(Op.STORE)
+        self.node_iter.append(self._cur_iter)
+        self.node_array.append(array)
+        self.node_index.append(index)
+        if dep is None:
+            self.deps.append(() if prev is None else (prev,))
+        else:
+            self.deps.append((dep,) if prev is None else (dep, prev))
+        self._last_store[key] = node
         return node
 
-    def _check_access(self, array, index):
+    def _access_error(self, array, index):
         decl = self.arrays.get(array)
         if decl is None:
-            raise TraceError(f"access to undeclared array {array!r}")
-        if not 0 <= index < decl.length:
-            raise TraceError(
-                f"{array}[{index}] out of bounds (length {decl.length})")
-        return decl
+            return TraceError(f"access to undeclared array {array!r}")
+        return TraceError(
+            f"{array}[{index}] out of bounds (length {decl.length})")
 
     def op(self, opcode, *operands):
-        """Emit a compute op; computes the functional result as well."""
-        if opcode not in OP_INFO:
-            raise TraceError(f"unknown opcode {opcode!r}")
-        dep_values = [self._operand(v) for v in operands]
-        node = self._emit(opcode, tuple(d for d, _v in dep_values))
-        concrete = _evaluate(opcode, [v for _d, v in dep_values])
-        return Value(node, concrete)
+        """Emit a compute op; computes the functional result as well.
 
-    # Arithmetic sugar so kernels read naturally.
+        Operands are Values or plain numbers (constants have no producer).
+        """
+        entry = SEMANTICS.get(opcode)
+        if entry is None or len(operands) != entry[0]:
+            raise _op_error(opcode, operands)
+        deps = []
+        values = []
+        for operand in operands:
+            if isinstance(operand, Value):
+                if operand.node is not None:
+                    deps.append(operand.node)
+                values.append(operand.value)
+            else:
+                values.append(operand)
+        result = entry[1](*values)
+        node = len(self.node_op)
+        self.node_op.append(opcode)
+        self.node_iter.append(self._cur_iter)
+        self.node_array.append(None)
+        self.node_index.append(0)
+        self.deps.append(tuple(deps))
+        return Value(node, result)
 
-    def add(self, a, b):
-        """Integer add."""
-        return self.op(Op.ADD, a, b)
+    # Arithmetic sugar so kernels read naturally (binary ops: see _binary).
 
-    def sub(self, a, b):
-        """Integer subtract."""
-        return self.op(Op.SUB, a, b)
-
-    def mul(self, a, b):
-        """Integer multiply."""
-        return self.op(Op.MUL, a, b)
-
-    def xor(self, a, b):
-        """Bitwise xor."""
-        return self.op(Op.XOR, a, b)
-
-    def band(self, a, b):
-        """Bitwise and."""
-        return self.op(Op.AND, a, b)
-
-    def bor(self, a, b):
-        """Bitwise or."""
-        return self.op(Op.OR, a, b)
-
-    def shl(self, a, b):
-        """Shift left."""
-        return self.op(Op.SHL, a, b)
-
-    def shr(self, a, b):
-        """Shift right."""
-        return self.op(Op.SHR, a, b)
-
-    def icmp(self, a, b):
-        """Integer compare: 1 when a > b, else 0."""
-        return self.op(Op.ICMP, a, b)
+    add = _binary(Op.ADD, "Integer add.")
+    sub = _binary(Op.SUB, "Integer subtract.")
+    mul = _binary(Op.MUL, "Integer multiply.")
+    xor = _binary(Op.XOR, "Bitwise xor.")
+    band = _binary(Op.AND, "Bitwise and.")
+    bor = _binary(Op.OR, "Bitwise or.")
+    shl = _binary(Op.SHL, "Shift left.")
+    shr = _binary(Op.SHR, "Shift right.")
+    icmp = _binary(Op.ICMP, "Integer compare: 1 when a > b, else 0.")
+    fadd = _binary(Op.FADD, "Floating-point add.")
+    fsub = _binary(Op.FSUB, "Floating-point subtract.")
+    fmul = _binary(Op.FMUL, "Floating-point multiply.")
+    fdiv = _binary(Op.FDIV, "Floating-point divide.")
+    fcmp = _binary(Op.FCMP, "Floating-point compare: 1 when a > b, else 0.")
 
     def select(self, cond, a, b):
         """Conditional select: a when cond is truthy, else b."""
         return self.op(Op.SELECT, cond, a, b)
 
-    def fadd(self, a, b):
-        """Floating-point add."""
-        return self.op(Op.FADD, a, b)
-
-    def fsub(self, a, b):
-        """Floating-point subtract."""
-        return self.op(Op.FSUB, a, b)
-
-    def fmul(self, a, b):
-        """Floating-point multiply."""
-        return self.op(Op.FMUL, a, b)
-
-    def fdiv(self, a, b):
-        """Floating-point divide."""
-        return self.op(Op.FDIV, a, b)
-
     def fsqrt(self, a):
         """Floating-point square root of |a|."""
         return self.op(Op.FSQRT, a)
-
-    def fcmp(self, a, b):
-        """Floating-point compare: 1 when a > b, else 0."""
-        return self.op(Op.FCMP, a, b)
 
     # -- summary ------------------------------------------------------------------
 
@@ -286,40 +324,12 @@ class _IterationScope:
         return False
 
 
-def _evaluate(opcode, vals):
-    """Functional semantics of each opcode."""
-    if opcode == Op.ADD:
-        return vals[0] + vals[1]
-    if opcode == Op.SUB:
-        return vals[0] - vals[1]
-    if opcode == Op.MUL:
-        return vals[0] * vals[1]
-    if opcode == Op.DIV:
-        return vals[0] // vals[1] if vals[1] else 0
-    if opcode == Op.AND:
-        return int(vals[0]) & int(vals[1])
-    if opcode == Op.OR:
-        return int(vals[0]) | int(vals[1])
-    if opcode == Op.XOR:
-        return int(vals[0]) ^ int(vals[1])
-    if opcode == Op.SHL:
-        return int(vals[0]) << int(vals[1])
-    if opcode == Op.SHR:
-        return int(vals[0]) >> int(vals[1])
-    if opcode == Op.ICMP:
-        return 1 if vals[0] > vals[1] else 0
-    if opcode == Op.SELECT:
-        return vals[1] if vals[0] else vals[2]
-    if opcode == Op.FADD:
-        return float(vals[0]) + float(vals[1])
-    if opcode == Op.FSUB:
-        return float(vals[0]) - float(vals[1])
-    if opcode == Op.FMUL:
-        return float(vals[0]) * float(vals[1])
-    if opcode == Op.FDIV:
-        return float(vals[0]) / float(vals[1]) if vals[1] else 0.0
-    if opcode == Op.FSQRT:
-        return math.sqrt(abs(float(vals[0])))
-    if opcode == Op.FCMP:
-        return 1 if float(vals[0]) > float(vals[1]) else 0
-    raise TraceError(f"no semantics for opcode {opcode!r}")
+def _op_error(opcode, operands):
+    """The TraceError for an op :meth:`TraceBuilder.op` cannot emit."""
+    if opcode not in OP_INFO:
+        return TraceError(f"unknown opcode {opcode!r}")
+    if opcode not in SEMANTICS:
+        return TraceError(f"no semantics for opcode {opcode!r}")
+    arity = SEMANTICS[opcode][0]
+    return TraceError(f"opcode {opcode!r} takes {arity} operand"
+                      f"{'s' if arity != 1 else ''}, got {len(operands)}")

@@ -157,15 +157,18 @@ class Cache:
 
     # -- the access path -----------------------------------------------------
 
-    def access(self, addr, size, is_write, callback, *args, stream=None):
+    def access(self, addr, size, is_write, callback, *args, stream=None,
+               defer_hit=False):
         """Attempt one demand access.
 
         Returns ``"hit"``, ``"miss"`` (accepted, fill in flight) or
         ``"blocked"`` (MSHRs exhausted — caller must retry).
         ``callback(*args)`` fires once the data is available (after the
-        hit latency, or after the fill plus hit latency).  A blocked
-        access changes nothing but ``blocked``, and stays blocked until
-        ``epoch`` moves.
+        hit latency, or after the fill plus hit latency).  With
+        ``defer_hit`` a hit schedules nothing and returns the hit latency
+        in ticks instead: the caller schedules the completion itself.  A
+        blocked access changes nothing but ``blocked``, and stays blocked
+        until ``epoch`` moves.
         """
         line = self.line_addr(addr)
         if self.line_addr(addr + size - 1) != line:
@@ -187,6 +190,8 @@ class Cache:
                 cache_set[line] = LineState.MODIFIED
                 if self._checker is not None:
                     self._checker.on_install(self, line, LineState.MODIFIED)
+            if defer_hit:
+                return self._hit_ticks
             self.sim.schedule(self._hit_ticks, callback, *args)
             return "hit"
 

@@ -1,5 +1,6 @@
 """Hot-path machinery of the scheduler: memoized construction tables,
-completion batching, and the cache-port refund on blocked accesses."""
+completion batching (cache hits included), and the cache-port refund on
+blocked accesses."""
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.aladdin.scheduler import (
 )
 from repro.aladdin.trace import TraceBuilder
 from repro.aladdin.transforms import assign_lanes
+from repro.core.config import DesignPoint
+from repro.core.soc import SoC
 from repro.errors import ConfigError, SimulationError
 from repro.memory.bus import SystemBus
 from repro.memory.cache import Cache
@@ -170,6 +173,48 @@ class TestCompletionBatching:
         sim.run()
         assert sched.busy.total_busy() > 0
         assert not sched.busy.busy  # every begin() was matched by an end()
+
+
+class TestCacheHitBatching:
+    """Accelerator cache hits complete through the scheduler's batches;
+    ``complete_node`` is left to the waiters an MSHR fill releases."""
+
+    @staticmethod
+    def _run_counting(design):
+        soc = SoC("aes-aes", design)
+        sched = soc.scheduler
+        calls = []
+        real = sched.complete_node
+
+        def counting(node):
+            calls.append(node)
+            real(node)
+
+        # An instance attribute: the cache interface looks the callback
+        # up on every access.
+        sched.complete_node = counting
+        soc.run()
+        assert sched.done
+        cache = soc.accel_cache
+        return calls, cache, sched
+
+    def test_complete_node_fires_only_for_fill_waiters(self):
+        calls, cache, sched = self._run_counting(DesignPoint(
+            lanes=4, partitions=4, mem_interface="cache", cache_size_kb=4))
+        assert cache.hits > len(calls) > 0
+        assert len(calls) == cache.misses + cache.merged
+        assert sched._completed == sched._num_nodes
+
+    def test_round_openers_keep_the_cache_completion(self):
+        # Modulo gating: a hit that may be its round's first issue keeps
+        # the cache-scheduled completion (ahead of the II gate); every
+        # other hit is batched.
+        calls, cache, sched = self._run_counting(DesignPoint(
+            lanes=4, partitions=4, mem_interface="cache", cache_size_kb=4,
+            pipelining="modulo", ii=2))
+        openers = len(calls) - cache.misses - cache.merged
+        assert 0 < openers <= len(sched._round_remaining)
+        assert cache.hits > openers
 
 
 class TestCachePortRefund:

@@ -73,6 +73,47 @@ class TestValues:
             tb.op("madd", 1, 2)
 
 
+class TestRejectedOps:
+    """An op or access that raises leaves the trace as it was."""
+
+    def test_memory_opcode_through_op_leaves_no_node(self):
+        tb = make_tb()
+        with pytest.raises(TraceError, match="no semantics"):
+            tb.op(Op.LOAD, 1, 2)
+        assert tb.num_nodes == 0
+        assert tb.node_array == []
+
+    def test_missing_operand_is_a_trace_error(self):
+        tb = make_tb()
+        x = tb.load("a", 0)
+        with pytest.raises(TraceError, match="takes 2 operands, got 1"):
+            tb.op(Op.ADD, x)
+        assert tb.num_nodes == 1
+
+    def test_extra_operand_is_a_trace_error(self):
+        tb = make_tb()
+        with pytest.raises(TraceError, match="takes 1 operand, got 2"):
+            tb.op(Op.FSQRT, 4.0, 9.0)
+        assert tb.num_nodes == 0
+
+    def test_failed_evaluation_leaves_no_node(self):
+        tb = make_tb()
+        with pytest.raises(ValueError):
+            tb.shl(1, -1)
+        with pytest.raises(ValueError):
+            tb.op(Op.AND, float("nan"), 1)
+        assert tb.num_nodes == 0
+
+    def test_rejected_access_leaves_no_node(self):
+        tb = make_tb()
+        for bad in (lambda: tb.load("a", 8), lambda: tb.load("nope", 0),
+                    lambda: tb.store("out", 8, 1)):
+            with pytest.raises(TraceError):
+                bad()
+        assert tb.num_nodes == 0
+        assert tb.arrays["out"].data == [0] * 8
+
+
 class TestDependences:
     def test_register_dependence(self):
         tb = make_tb()
