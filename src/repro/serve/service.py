@@ -49,6 +49,7 @@ from repro.core.sweeppool import (
     FailedPoint,
     SweepCache,
     SweepMetrics,
+    _raw_identity,
     keyed_payloads,
 )
 from repro.errors import CalibrationError
@@ -206,7 +207,8 @@ class SweepService:
         self._queue = deque()
         self._wakeup = threading.Event()
         self._closed = False
-        self._calibrations = {}  # (workload, cfg_hash) -> Calibration|None
+        # (workload, raw config identity or hash) -> Calibration|None
+        self._calibrations = {}
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatcher",
             daemon=True)
@@ -283,7 +285,9 @@ class SweepService:
 
     def _calibration(self, workload, cfg):
         from repro.core.calibrate import Calibration, config_hash
-        cache_key = (workload, config_hash(cfg))
+        # Keyed by the config's raw fields, so a repeated lookup hashes
+        # nothing; configs with non-scalar fields fall back to the hash.
+        cache_key = (workload, _raw_identity(cfg) or config_hash(cfg))
         if cache_key not in self._calibrations:
             self._calibrations[cache_key] = Calibration.load(
                 self.cache_dir, workload, cfg)

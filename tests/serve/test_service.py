@@ -270,6 +270,29 @@ class TestQuery:
         assert second["service"]["hits"] == len(designs)
         assert second["frontier"] == first["frontier"]
 
+    def test_repeated_warm_query_hashes_no_config(self, tmp_path,
+                                                  monkeypatch):
+        import repro.core.calibrate as calibrate
+        run_sweep(WORKLOAD, dma_design_space("quick"),
+                  cache_dir=str(tmp_path))
+        calls = []
+        real = calibrate.config_hash
+
+        def counting(cfg=None):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(calibrate, "config_hash", counting)
+        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+            first = svc.query("pareto", WORKLOAD, space="dma",
+                              density="quick")
+            calls.clear()
+            for _ in range(3):
+                again = svc.query("pareto", WORKLOAD, space="dma",
+                                  density="quick")
+                assert again["frontier"] == first["frontier"]
+            assert calls == []
+
     def test_pareto_and_edp_match_direct_reduction(self, service):
         from repro.core.pareto import edp_optimal, pareto_frontier
         designs = quick_designs(4)
@@ -359,6 +382,20 @@ class TestTieredService:
         serial = run_sweep(WORKLOAD, designs)
         assert (edp_optimal(exact).edp
                 == pytest.approx(edp_optimal(serial).edp))
+
+    def test_changed_config_loads_its_own_calibration(self, tmp_path):
+        from repro.core.calibrate import calibrate_workload
+        from repro.core.config import SoCConfig
+        calibrate_workload(WORKLOAD, density="quick",
+                           cache_dir=str(tmp_path))
+        d = quick_designs(1)
+        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+            _r, calibrated = svc.submit(WORKLOAD, d)
+            other = SoCConfig(bus_width_bits=64)
+            _r, uncalibrated = svc.submit(WORKLOAD, d, cfg=other)
+            _r, again = svc.submit(WORKLOAD, d)
+        assert calibrated["tier"] == again["tier"] == "auto"
+        assert uncalibrated["tier"] == "exact"
 
     def test_exact_request_never_joins_auto_entry(self, tmp_path):
         # An in-flight auto evaluation may resolve to a fast-model
