@@ -476,9 +476,9 @@ class DatapathScheduler:
         launches the issues that precede it.  A cache hit schedules nothing
         and comes back as a delay, launched in key order at the next flush:
         no event is scheduled in between, so its completion keeps the
-        sequence number the cache would have given it.  Without internal arrays it
-        ends once every cache port is taken, since each access left would
-        be refused before any TLB or cache call.
+        sequence number the cache would have given it.  Without internal
+        arrays it ends once every cache port is taken, since each access
+        left would be refused before any TLB or cache call.
 
         A walk leaves the accesses the cache refused for full MSHRs at the
         head of the lane's bucket.  Such a refusal schedules nothing: it

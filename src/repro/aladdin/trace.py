@@ -153,9 +153,10 @@ class TraceBuilder:
 
     # -- trace node construction --------------------------------------------------
     #
-    # One path per node kind, each appending the node arrays directly: the
-    # functional result (or the loaded word) is computed first, so an op
-    # or access that raises leaves no node behind.
+    # Every emitter appends the node arrays itself (the binary sugar is
+    # ``op`` unrolled, see _binary).  The functional result, or the loaded
+    # word, is computed first, so an op or access that raises leaves no
+    # node behind.
 
     def load(self, array, index):
         """Load word ``index`` from ``array``; returns the SSA value."""
@@ -229,7 +230,7 @@ class TraceBuilder:
         self.deps.append(tuple(deps))
         return Value(node, result)
 
-    # Arithmetic sugar so kernels read naturally (binary ops: see _binary).
+    # Arithmetic sugar so kernels read naturally.
 
     add = _binary(Op.ADD, "Integer add.")
     sub = _binary(Op.SUB, "Integer subtract.")
