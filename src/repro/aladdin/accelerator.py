@@ -96,6 +96,8 @@ class Accelerator:
         sim.add_done_dependency(lambda: sched.done)
         sched.start()
         sim.run()
+        sim.release()
+        sched.release()
         ticks = sched.done_tick - sched.start_tick
         cycles = self.clock.ticks_to_cycles(ticks)
         activity = measured(self.lanes, self.trace.op_histogram(), spad)

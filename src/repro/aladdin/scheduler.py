@@ -230,6 +230,13 @@ class DatapathScheduler:
         if self.on_done is not None:
             self.on_done()
 
+    def release(self):
+        """Drop the closures and the completion callback that refer back
+        to this scheduler or its owner, once the run is over (see
+        DESIGN.md "Object lifetime").  Counters and queues stay readable.
+        """
+        self._launch = self._walk_memory = self.on_done = None
+
     @property
     def compute_ticks(self):
         """Ticks from start to last node completion."""
@@ -380,6 +387,8 @@ class DatapathScheduler:
         """
         mem_if = self.mem_if
         spad = mem_if.spad
+        node_index = self.trace.node_index
+        arrays = self.trace.arrays
         ports = mem_if._ports
         lat_ticks = mem_if._latency_ticks
         plans = mem_if._node_plan
@@ -422,7 +431,9 @@ class DatapathScheduler:
                     if plan_ready[bi][plan[2]]:
                         bi = 0  # data arrived: fall through
                 elif bi < 0:
-                    plan_bits[-bi].is_ready(plan[4])  # raises
+                    # Out of the bits' range: is_ready raises.
+                    plan_bits[-bi].is_ready(
+                        node_index[node] * arrays[plan[3]].word_bytes)
                 if bi:
                     plan_bits[bi].wait_bit(plan[2],
                                            lambda _n=node: resume(_n))
@@ -781,7 +792,7 @@ class DatapathScheduler:
 # Issue plan for nodes with no array (never legitimately issued): slot
 # index -1 resolves to the trailing ``None`` sentinel of the per-run slot
 # table, whose path reproduces the unknown-array ConfigError.
-_NULL_PLAN = (-1, 0, 0, None, 0)
+_NULL_PLAN = (-1, 0, 0, None)
 
 
 class SpadInterface:
@@ -811,10 +822,12 @@ class SpadInterface:
     def _static_plans(self, trace):
         """The pure part of the per-node issue plan, memoized on the trace.
 
-        A plan entry is ``(slot_index, bits_index, bit, array, offset)``:
-        every field is a function of the trace and two design scalars
+        A plan entry is ``(slot_index, bits_index, bit, array)``: every
+        field is a function of the trace and two design scalars
         (partition count, ready-bit layout), so the 30k-node derivation
-        runs once per (trace, design shape) instead of once per run.  The
+        runs once per (trace, design shape) instead of once per run.
+        Equal entries are one shared tuple: nodes of one bank share it,
+        and gated nodes of one (bank, bit) pair do.  The
         per-run mutable state — bank slots and ready bytearrays — is
         reached through small tables rebuilt by :meth:`bind`:
         ``slot_index`` indexes the flat per-(array, bank) slot table (-1 =
@@ -822,7 +835,7 @@ class SpadInterface:
         ``bits_index`` is 0 for ungated nodes, ``k > 0`` for full/empty
         gating via table ``k``, and ``-k`` for a gated node whose offset
         is out of range (the bounds error is raised at issue time, as the
-        unoptimized path did).
+        unoptimized path did, from the offset recomputed there).
         """
         partitions = self.spad.partitions
         ready_bits = self.ready_bits
@@ -846,8 +859,10 @@ class SpadInterface:
         bits_order = []   # arrays with ready bits, in bits-table order
         per_array = {}
         # Arrays without full/empty bits have only `partitions` distinct
-        # plans (one per bank), memoized in bank_plans.
+        # plans (one per bank), memoized in bank_plans; gated plans are
+        # interned in shared.
         bank_plans = {}
+        shared = {}
         for node in range(n):
             array = node_array[node]
             if array is None:
@@ -873,15 +888,16 @@ class SpadInterface:
                 slot_idx = base + bank
                 plan = bank_plans.get(slot_idx)
                 if plan is None:
-                    plan = bank_plans[slot_idx] = (slot_idx, 0, 0, array, 0)
+                    plan = bank_plans[slot_idx] = (slot_idx, 0, 0, array)
                 plans[node] = plan
             else:
                 offset = node_index[node] * wb
                 if 0 <= offset < max(bits.size_bytes, 1):
-                    plans[node] = (base + bank, bi,
-                                   offset // bits.granularity, array, offset)
+                    plan = (base + bank, bi, offset // bits.granularity,
+                            array)
                 else:
-                    plans[node] = (base + bank, -bi, 0, array, offset)
+                    plan = (base + bank, -bi, 0, array)
+                plans[node] = shared.setdefault(plan, plan)
         cached = memo[key] = (plans, array_order, bits_order)
         return cached
 

@@ -81,17 +81,20 @@ def assign_lanes(trace, lanes):
         return cached
     lane = [0] * trace.num_nodes
     round_ = [-1] * trace.num_nodes
-    num_rounds = 0
+    # One int object per round, shared by all of its nodes: past 256,
+    # ``it // lanes`` would allocate a fresh int for every node.
+    rounds = []
     iters = trace.node_iter
     for node in range(trace.num_nodes):
         it = iters[node]
         if it >= 0:
             lane[node] = it % lanes
             r = it // lanes
-            round_[node] = r
-            if r + 1 > num_rounds:
-                num_rounds = r + 1
-    assignment = memo[key] = LaneAssignment(lanes, lane, round_, num_rounds)
+            if r >= len(rounds):
+                rounds.extend(range(len(rounds), r + 1))
+            round_[node] = rounds[r]
+    assignment = memo[key] = LaneAssignment(lanes, lane, round_,
+                                            len(rounds))
     # Eager fill: the template is part of the memoized value, so no
     # scheduler ever needs to write into the shared instance later.
     assignment.ensure_round_base()

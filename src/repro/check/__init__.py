@@ -31,6 +31,7 @@ via ``REPRO_CHECK=1``.  The health report dumps as JSON in the style of
 
 import json
 import os
+import weakref
 
 from repro.check.audit import audit_platform, format_leaks
 from repro.check.invariants import MOESIChecker
@@ -71,10 +72,14 @@ class Checker:
     domain and registers the deadlock diagnoser on its simulator;
     :meth:`audit` runs the end-of-run leak audit.  Counters accumulate
     across re-attachment (e.g. one checker spanning a whole sweep).
+
+    The platform owns its checker, so the checker refers back to it
+    weakly: a finished platform is freed as soon as its last user drops
+    it, and :attr:`platform` then reads ``None``.
     """
 
     def __init__(self):
-        self.platform = None
+        self._platform = None
         self.moesi = None
         self.audits = 0
         self.last_audit = None
@@ -91,20 +96,29 @@ class Checker:
             self._prior_checks += self.moesi.checks
             self._prior_writeback_checks += self.moesi.writeback_checks
             self._prior_violations += self.moesi.violations
-            self._prior_deferred += self.platform.domain.deferred_fetches
-        self.platform = platform
+            self._prior_deferred += self.moesi.domain.deferred_fetches
+        self._platform = weakref.ref(platform)
         self.moesi = MOESIChecker(platform.domain)
         platform.domain.attach_checker(self.moesi)
         platform.sim.add_deadlock_diagnoser(
             lambda: diagnose_platform(platform))
         return self
 
+    @property
+    def platform(self):
+        """The platform last attached to, while it is alive."""
+        return self._platform() if self._platform is not None else None
+
     def audit(self, platform=None):
         """Run the end-of-run leak audit; raises :class:`LeakError` on
         findings, returns the (clean) audit result otherwise."""
-        platform = platform if platform is not None else self.platform
         if platform is None:
-            raise LeakError("checker was never attached to a platform")
+            platform = self.platform
+        if platform is None:
+            raise LeakError("checker was never attached to a platform"
+                            if self._platform is None else
+                            "the checker's platform was freed; pass it "
+                            "to audit()")
         self.audits += 1
         report = audit_platform(platform)
         self.last_audit = report
@@ -136,8 +150,8 @@ class Checker:
 
     @property
     def deferred_fetches(self):
-        current = (self.platform.domain.deferred_fetches
-                   if self.platform is not None else 0)
+        current = (self.moesi.domain.deferred_fetches
+                   if self.moesi is not None else 0)
         return self._prior_deferred + current
 
     # -- reporting -----------------------------------------------------------

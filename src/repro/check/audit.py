@@ -177,7 +177,8 @@ def _audit_link(leaks, link):
     if full:
         _leak(leaks, name, "unconsumed_handoff_data",
               f"{full} committed chunk(s) of "
-              f"{link.producer.workload!r} -> {link.consumer.workload!r} "
+              f"{link.producer_workload!r} -> "
+              f"{link.consumer_workload!r} "
               f"never drained by the consumer")
     waiters = bits.pending_waiters()
     if waiters:

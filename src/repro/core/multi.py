@@ -54,9 +54,7 @@ class MultiAcceleratorSoC:
         """
         for soc in self.socs:
             soc.launch()
-        self.platform.sim.run()
-        if self.platform.checker is not None:
-            self.platform.checker.audit(self.platform)
+        self.platform.run()
         self._results = [soc.collect() for soc in self.socs]
         return self._results
 

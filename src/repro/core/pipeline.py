@@ -95,14 +95,20 @@ class HandoffLink:
     Owns the full/empty bits that sequence the handoff, the buffer
     geometry (chunk size, ring slots), the per-chunk tick accounting, and
     the stall/park interval trackers the timeline export renders.
+
+    The platform lists its links and each stage refers to its links, so
+    a link keeps only what it drives — the two stages' DMA engines, the
+    consumer's own ready bits and the workload names — never the stages
+    themselves, and closes no reference cycle.
     """
 
     def __init__(self, index, producer, consumer, mode, buffer_bytes,
                  double_buffer):
         self.index = index
         self.name = f"link{index}"
-        self.producer = producer
-        self.consumer = consumer
+        self.producer_workload = producer.workload
+        self.consumer_workload = consumer.workload
+        self.sim = producer.sim
         self.mode = mode
         self.buffer_bytes = buffer_bytes
         self.double_buffer = double_buffer
@@ -148,6 +154,12 @@ class HandoffLink:
         self.consume_start_tick = [None] * self.num_chunks
         self.consumed_tick = [None] * self.num_chunks
         self._pull_gates = {}
+        self._push_dma = producer.dma
+        self._pull_dma = consumer.dma
+        # The consumer's own triggered-compute bits for the linked array,
+        # and that array's size (see start_consuming).
+        self._consumer_bits = consumer.ready_bits.get(self.in_array)
+        self._in_size = in_size
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -159,22 +171,17 @@ class HandoffLink:
         """Physical address of chunk ``j``'s ring slot (DMA mode)."""
         return self.buf_base + (j % self.slots) * self.chunk_bytes
 
-    @property
-    def sim(self):
-        return self.producer.sim
-
     # -- DMA-mode producer: chunked, credit-gated pushes --------------------
 
     def start_producing(self, on_done):
         """Producer compute finished: stream the linked output through the
         ring buffer, then call ``on_done`` (which sends any remaining
         non-linked outputs and signals completion)."""
-        self._produce_done = on_done
-        self._push(0)
+        self._push(0, on_done)
 
-    def _push(self, j):
+    def _push(self, j, on_done):
         if j >= self.num_chunks:
-            self._produce_done()
+            on_done()
             return
         offset, size = self._chunk(j)
         gate = None
@@ -186,39 +193,36 @@ class HandoffLink:
                                   tracker=self.producer_stall)
         desc = DMADescriptor(self._slot_addr(j), self.out_array, offset,
                              size, to_accel=False)
-        self.producer.dma.enqueue(
-            [desc], on_done=lambda: self._pushed(j, gate),
+        self._push_dma.enqueue(
+            [desc], on_done=lambda: self._pushed(j, gate, on_done),
             label=f"{self.name}.push{j}", gate=gate)
 
-    def _pushed(self, j, gate):
+    def _pushed(self, j, gate, on_done):
         offset, size = self._chunk(j)
         self.produced_tick[j] = self.sim.now
         self.handoffs += 1
         if gate is not None and gate.waited:
             self.producer_stalls += 1
         self.bits.set_range(offset, size)  # wakes a parked consumer pull
-        self._push(j + 1)
+        self._push(j + 1, on_done)
 
     # -- DMA-mode consumer: chunked, ready-gated pulls ----------------------
 
     def start_consuming(self, on_done):
         """Stage launch: chain ready-gated pulls of every chunk, then call
         ``on_done`` (the stage's input-arrival accounting)."""
-        self._consume_done = on_done
         # The consumer's linked array may be larger than the link window;
         # the tail holds preinitialized data, so its own triggered-compute
         # ready bits must not wait for a DMA that will never come.
-        own_bits = self.consumer.ready_bits.get(self.in_array)
-        if own_bits is not None:
-            in_size = self.consumer.trace.arrays[self.in_array].size_bytes
-            if in_size > self.link_bytes:
-                own_bits.set_range(self.link_bytes,
-                                   in_size - self.link_bytes)
-        self._pull(0)
+        own_bits = self._consumer_bits
+        if own_bits is not None and self._in_size > self.link_bytes:
+            own_bits.set_range(self.link_bytes,
+                               self._in_size - self.link_bytes)
+        self._pull(0, on_done)
 
-    def _pull(self, j):
+    def _pull(self, j, on_done):
         if j >= self.num_chunks:
-            self._consume_done()
+            on_done()
             return
         offset, size = self._chunk(j)
         gate = DescriptorGate(self.bits, offset, size, until="full",
@@ -226,11 +230,11 @@ class HandoffLink:
         self._pull_gates[j] = gate
         desc = DMADescriptor(self._slot_addr(j), self.in_array, offset,
                              size, to_accel=True)
-        self.consumer.dma.enqueue(
-            [desc], on_done=lambda: self._pulled(j),
+        self._pull_dma.enqueue(
+            [desc], on_done=lambda: self._pulled(j, on_done),
             label=f"{self.name}.pull{j}", gate=gate)
 
-    def _pulled(self, j):
+    def _pulled(self, j, on_done):
         offset, size = self._chunk(j)
         gate = self._pull_gates.pop(j)
         self.consume_start_tick[j] = gate.opened_tick
@@ -238,7 +242,7 @@ class HandoffLink:
         if gate.waited:
             self.consumer_parks += 1
         self.bits.clear_range(offset, size)  # credit back: wakes producer
-        self._pull(j + 1)
+        self._pull(j + 1, on_done)
 
     # -- cache-mode handoff: fence-committed flags, gated invocation --------
 
@@ -295,8 +299,8 @@ class HandoffLink:
     def report(self):
         return {
             "link": self.index,
-            "producer": self.producer.workload,
-            "consumer": self.consumer.workload,
+            "producer": self.producer_workload,
+            "consumer": self.consumer_workload,
             "mode": self.mode,
             "link_bytes": self.link_bytes,
             "chunk_bytes": self.chunk_bytes,
@@ -565,9 +569,7 @@ class AcceleratorPipeline:
         """
         for stage in self.stages:
             stage.launch()
-        self.platform.sim.run()
-        if self.platform.checker is not None:
-            self.platform.checker.audit(self.platform)
+        self.platform.run()
         self._results = PipelineResult(
             self, [stage.collect() for stage in self.stages])
         return self._results

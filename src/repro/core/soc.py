@@ -25,6 +25,8 @@ The platform (bus, DRAM, coherence domain, CPU cache) is factored into
 ACCEL0 and ACCEL1 on one bus; see :mod:`repro.core.multi`.
 """
 
+import weakref
+
 from repro.aladdin.accelerator import make_scratchpad
 from repro.aladdin.activity import measured
 from repro.aladdin.area import AreaModel
@@ -76,6 +78,10 @@ class Platform:
     instance built with ``platform=``); they contend on the same bus and
     DRAM banks, which is exactly the shared-resource scenario of
     Section IV-A.
+
+    :meth:`run` drains the event queue, audits, then releases the
+    finished run, so a finished platform and its SoCs hold no reference
+    cycles (see DESIGN.md "Object lifetime").
     """
 
     def __init__(self, cfg=None, check=None):
@@ -98,7 +104,10 @@ class Platform:
         self.domain.register(self.cpu_cache)
         self._next_offset = 0
         self._num_accels = 0
-        self.socs = []  # every SoC built on this platform registers here
+        # Every SoC built on this platform registers here.  The SoC owns
+        # the platform, so the platform refers back weakly (see socs).
+        self._soc_refs = []
+        self._released = False
         # Streaming handoff buffers between pipeline stages
         # (repro.core.pipeline); the leak audit walks these too.
         self.handoff_links = []
@@ -108,6 +117,42 @@ class Platform:
         self.checker = resolve_check(check)
         if self.checker is not None:
             self.checker.attach(self)
+
+    @property
+    def socs(self):
+        """The live SoCs built on this platform, in build order."""
+        socs = [ref() for ref in self._soc_refs]
+        return [soc for soc in socs if soc is not None]
+
+    def add_soc(self, soc):
+        """Register ``soc`` for the leak audit and the deadlock report."""
+        self._soc_refs.append(weakref.ref(soc))
+
+    def run(self):
+        """Drain the event queue, run the leak audit when checking is on,
+        then :meth:`release` the finished run.  A platform runs once."""
+        if self._released:
+            raise SimulationError(
+                "this platform already ran; build a new one per run")
+        self.sim.run()
+        if self.checker is not None:
+            self.checker.audit(self)
+        self.release()
+
+    def release(self):
+        """Break every back-reference that closes a reference cycle.
+
+        Called once the event queue has drained and the audit has run.
+        Afterwards reference counting frees the whole SoC graph as soon
+        as its last user drops it, without waiting for the cyclic
+        collector.  Forward references stay, so stats registries, the
+        audit and post-run inspection read the same values as before.
+        """
+        self._released = True
+        self.sim.release()
+        self.domain.release()
+        for soc in self.socs:
+            soc.scheduler.release()
 
     def alloc_region(self, size_bytes):
         """Reserve a page-aligned window of the shared address space."""
@@ -173,7 +218,7 @@ class SoC:
         self.trace = cached_trace(workload)
         self.ddg = cached_ddg(workload)
         self.accel_id = self.platform.next_accel_id()
-        self.platform.socs.append(self)
+        self.platform.add_soc(self)
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -350,10 +395,7 @@ class SoC:
         numbers.
         """
         self.launch()
-        self.sim.run()
-        checker = self.platform.checker
-        if checker is not None:
-            checker.audit(self.platform)
+        self.platform.run()
         return self.collect()
 
     # DMA mode ---------------------------------------------------------------
@@ -524,7 +566,9 @@ class SoC:
         ``accel<id>.*`` and its CPU driver under ``cpu<id>.*``.  All stats
         are getter-backed mirrors of the live counters, so registration
         adds no per-event work — attach before or after :meth:`run`, the
-        dumped values are identical.
+        dumped values are identical.  The one exception is the bus's
+        sampled ``soc.bus.queue_wait`` distribution, which records only
+        the requests made while it is attached.
         """
         self.platform.reg_stats(stats)
         accel = f"accel{self.accel_id}"

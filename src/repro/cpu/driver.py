@@ -92,22 +92,19 @@ class CPUDriver:
 
     def invalidate_region(self, start, size, on_done):
         """Invalidate the CPU's cached copies of a DMA return region."""
-        lines = self._lines(start, size)
         self.busy.begin(self.sim.now)
+        self._invalidate_step(self._lines(start, size), 0, on_done)
 
-        def step(index):
-            if index >= len(lines):
-                self.busy.end(self.sim.now)
-                on_done()
-                return
-            self.lines_invalidated += 1
-            if self.cpu_cache is not None:
-                self.cpu_cache.invalidate_line(lines[index])
-            self.sim.schedule(
-                ns_to_ticks(self.timings.invalidate_ns_per_line),
-                step, index + 1)
-
-        step(0)
+    def _invalidate_step(self, lines, index, on_done):
+        if index >= len(lines):
+            self.busy.end(self.sim.now)
+            on_done()
+            return
+        self.lines_invalidated += 1
+        if self.cpu_cache is not None:
+            self.cpu_cache.invalidate_line(lines[index])
+        self.sim.schedule(ns_to_ticks(self.timings.invalidate_ns_per_line),
+                          self._invalidate_step, lines, index + 1, on_done)
 
     def _lines(self, start, size):
         first = start - (start % self.line_size)
@@ -135,18 +132,18 @@ class CPUDriver:
     def spin_wait(self, is_done, on_done):
         """Poll the shared completion flag until ``is_done()`` is true."""
         interval = ns_to_ticks(self.timings.poll_interval_ns)
+        self.sim.schedule(interval, self._poll, interval, is_done, on_done)
 
-        def poll():
-            self.polls += 1
-            if is_done():
-                if self._trace is not None:
-                    self._trace(self.sim.now, "completion seen after %d polls",
-                                self.polls)
-                on_done()
-            else:
-                self.sim.schedule(interval, poll)
-
-        self.sim.schedule(interval, poll)
+    def _poll(self, interval, is_done, on_done):
+        self.polls += 1
+        if is_done():
+            if self._trace is not None:
+                self._trace(self.sim.now, "completion seen after %d polls",
+                            self.polls)
+            on_done()
+        else:
+            self.sim.schedule(interval, self._poll, interval, is_done,
+                              on_done)
 
     def reg_stats(self, stats, prefix=None):
         """Mirror this driver's counters into a stats registry."""

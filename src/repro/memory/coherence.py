@@ -80,6 +80,15 @@ class CoherenceDomain:
         for cache in self.caches:
             cache._checker = checker
 
+    def release(self):
+        """Unhook the caches and the MOESI checker from this domain after
+        the run: ``cache.domain`` and ``checker.domain`` point back here,
+        closing reference cycles.  The domain keeps its forward
+        references (``caches``, counters) for post-run inspection."""
+        self.attach_checker(None)
+        for cache in self.caches:
+            cache.domain = None
+
     def _peers(self, requester):
         return [c for c in self.caches if c is not requester]
 

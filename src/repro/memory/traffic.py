@@ -44,7 +44,10 @@ class TrafficGenerator:
 
     def _tick(self):
         if not self._running or self._stop_check():
+            # The stop check is a closure over the owner: forget it so a
+            # stopped generator closes no reference cycle.
             self._running = False
+            self._stop_check = None
             return
         addr = self.base_addr + self._offset
         self._offset = (self._offset + self.burst_bytes * 4) % self.footprint

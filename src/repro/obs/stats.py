@@ -31,6 +31,7 @@ snapshot suite stay bit-identical and the perf gate stay flat.
 
 import json
 import math
+import weakref
 
 from repro.errors import ConfigError
 
@@ -49,7 +50,14 @@ class Stat:
     def __init__(self, name, desc=""):
         self.name = _validate_name(name)
         self.desc = desc
-        self.registry = None  # set by StatRegistry.add
+        self._registry = None  # set by StatRegistry.add
+
+    @property
+    def registry(self):
+        """The registry this stat was added to, or ``None``.  Held weakly:
+        the registry owns its stats, so a dropped registry (and the
+        components its getters read) is freed by reference counting."""
+        return self._registry() if self._registry is not None else None
 
     def value(self):
         raise NotImplementedError
@@ -256,7 +264,7 @@ class StatRegistry:
     def add(self, stat):
         if stat.name in self._stats:
             raise ConfigError(f"duplicate stat {stat.name!r}")
-        stat.registry = self
+        stat._registry = weakref.ref(self)
         self._stats[stat.name] = stat
         return stat
 

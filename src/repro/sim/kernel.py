@@ -288,6 +288,16 @@ class Simulator:
             raise SimulationError(message)
         return executed
 
+    def release(self):
+        """Drop the done checks and deadlock diagnosers of a finished run.
+
+        Both are closures over the components that own this simulator,
+        so they close reference cycles; once the queue has drained and
+        the run is complete nothing calls them again.
+        """
+        self._done_checks.clear()
+        self._diagnosers.clear()
+
     def reg_stats(self, stats, prefix="soc.sim"):
         """Mirror the event-loop's bookkeeping into a stats registry."""
         stats.scalar(f"{prefix}.events", lambda: self.events_executed,

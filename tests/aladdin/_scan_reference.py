@@ -104,7 +104,9 @@ def reference_pass(sched, queues):
                         if plan_ready[bi][plan[2]]:
                             bi = 0
                     elif bi < 0:
-                        plan_bits[-bi].is_ready(plan[4])
+                        plan_bits[-bi].is_ready(
+                            sched.trace.node_index[node]
+                            * sched.trace.arrays[plan[3]].word_bytes)
                     if bi:
                         plan_bits[bi].wait_bit(
                             plan[2], lambda _n=node: resume(_n))
