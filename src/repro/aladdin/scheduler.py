@@ -34,7 +34,10 @@ nodes of a saturated bucket come from the bucket's sequence range.
 """
 
 from bisect import bisect_left
-from itertools import islice
+from collections import deque
+from heapq import heappop, heappush
+from itertools import compress, islice
+from operator import attrgetter
 
 from repro.errors import SimulationError
 from repro.aladdin.ir import FuClass, OP_INFO, Op
@@ -51,6 +54,8 @@ _COMPUTE_FUS = tuple(fu for fu in range(_NUM_FU) if fu != _MEM)
 _NEVER = float("inf")
 # Shortest run of bank-blocked nodes worth remembering between walks.
 _MEMO_BLOCKED = 8
+# Agenda entry kinds: an issue pass, a completion batch, a modulo II gate.
+_PASS, _BATCH, _GATE = 0, 1, 2
 
 
 class DatapathScheduler:
@@ -180,13 +185,23 @@ class DatapathScheduler:
         # Ready nodes in all, and per lane.
         self._num_ready = 0
         self._lane_ready = [0] * self.lanes
-        # Ticks of pending _issue_pass events.  A pass may be superseded by
-        # an earlier-edge kick; tracking every scheduled tick (instead of
-        # only the earliest) keeps a pass from being scheduled twice for
-        # the same edge, which used to waste an event and an empty pass.
+        # Ticks of pending issue passes.  A pass may be superseded by an
+        # earlier-edge kick; tracking every booked tick (instead of only
+        # the earliest) keeps a pass from being booked twice for the same
+        # edge, which used to waste an event and an empty pass.
         self._scheduled_passes = set()
+        # The agenda: a heap of (tick, seq, kind, arg) entries, each with
+        # the sequence number the event queue would have given its event,
+        # and ``_zero``, the (kind, arg) entries due now in queue-FIFO
+        # rank.  The last ``_zero_posted`` of those, and the heap entries
+        # whose seq is in ``_posted``, have an ``_issue_pass`` event
+        # queued for them.
+        self._agenda = []
+        self._zero = deque()
+        self._zero_posted = 0
+        self._posted = set()
         # The memory interface precomputes its per-node tables and, by
-        # type, picks the issue pass's memory walk.
+        # type, picks the issue step's memory walk.
         mem_if.bind(self)
         self._launch = self._launcher()
         self._walk_memory = (self._spad_walker()
@@ -218,6 +233,7 @@ class DatapathScheduler:
             else:
                 self._enqueue_ready(node)
         self._kick()
+        self._post()
 
     def _finish(self):
         self.done = True
@@ -257,9 +273,10 @@ class DatapathScheduler:
         """Re-queue a node that was parked on a TLB walk or full/empty bit."""
         self._enqueue_ready(node)
         self._kick()
+        self._post()
 
     def _kick(self):
-        """Ensure an issue pass is scheduled at the next accelerator edge."""
+        """Ensure an issue pass is booked at the next accelerator edge."""
         if not self._num_ready:
             return
         now = self._queue.now
@@ -269,114 +286,258 @@ class DatapathScheduler:
         if pending and min(pending) <= when:
             return
         pending.add(when)
-        self._queue.schedule_at(when, self._issue_pass)
+        self._at(when, _PASS, None)
 
-    # -- the per-cycle issue pass ----------------------------------------------
+    # -- the cycle loop ----------------------------------------------------------
     #
-    # A lane's pass is defined as a scan of its ready nodes in enqueue
-    # order that issues what its resources allow, counts a conflict for
-    # every node it probes and refuses, and stops once every FU class
-    # still queued is saturated or emptied.  Without probing saturated
-    # classes: a compute class issues its first ``limit - used`` nodes;
-    # the memory bucket is walked until the port saturates or it empties
-    # (its exhaustion key ``mem_full``); the scan's ``stop`` is the
-    # largest exhaustion key, and the unprobed nodes before it in
+    # Each event the datapath would schedule is an agenda entry instead,
+    # under the (tick, seq) the queue would have given it, run inline by
+    # ``_issue_pass`` (DESIGN.md, "Datapath cycle loop").
+    #
+    # A lane's issue pass is defined as a scan of its ready nodes in
+    # enqueue order that issues what its resources allow, counts a
+    # conflict for every node it probes and refuses, and stops once every
+    # FU class still queued is saturated or emptied.  Without probing
+    # saturated classes: a compute class issues its first ``limit - used``
+    # nodes; the memory bucket is walked until the port saturates or it
+    # empties (its exhaustion key ``mem_full``); the scan's ``stop`` is
+    # the largest exhaustion key, and the unprobed nodes before it in
     # saturated classes are reservation conflicts, found by bisection.
     # Issues launch in key order.  The memory walk (picked by the
     # interface) and the launch step are closures built once per run.
 
-    def _issue_pass(self):
-        now = self._queue.now
-        self._scheduled_passes.discard(now)
-        # Reset per-cycle FU budgets on a new cycle.
-        cycle = now // self._period
-        if cycle != self._state_cycle:
-            self._state_cycle = cycle
-            zero = self._fu_zero
-            for used in self._fu_used:
-                used[:] = zero
-            self.mem_if.new_cycle(cycle)
-        limits = self._fu_limits
+    def _issue_pass(self, kind=None, arg=None):
+        """The event the agenda posts: one stretch of the cycle loop.  It
+        runs the entry it was posted for, then every following entry
+        that nothing queued precedes, up to the run's ``horizon`` and
+        ``budget`` (which it spends).  Given an entry (``kind``, ``arg``)
+        due now, it runs only that one.  Then it posts the earliest."""
+        queue = self._queue
+        agenda, zero, posted = self._agenda, self._zero, self._posted
+        horizon = queue.horizon
+        if kind is not None:
+            horizon = None
+        elif agenda and agenda[0][0] == queue.now:
+            _tick, seq, kind, arg = heappop(agenda)
+            posted.remove(seq)
+        else:
+            kind, arg = zero.popleft()
+            self._zero_posted -= 1
+        heap, fifo, now, budget = (queue._heap, queue._fifo, queue.now,
+                                   queue.budget)
+        pending, period = self._scheduled_passes, self._period
+        limits, mask, step = self._fu_limits, self._key_mask, self._key_step
         mem_limit = limits[_MEM]
-        node_ticks = self._node_ticks
-        mask = self._key_mask
-        walk_memory = self._walk_memory
-        ready = self._ready
-        lane_ready = self._lane_ready
-        fu_used = self._fu_used
-        launched = []
-        batches = {}
-        conflicts = 0
-        issued = []
-        tails = []
-        for lane in range(self.lanes):
-            if not lane_ready[lane]:
-                continue
-            queues = ready[lane]
-            used = fu_used[lane]
-            mem = queues[_MEM]
-            # Compute classes (none queued when the memory bucket holds
-            # all the lane's nodes): the issuable heads go in bulk.
-            issued.clear()
-            tails.clear()
-            stop = -1
-            for fu in (_COMPUTE_FUS if lane_ready[lane] > len(mem) else ()):
-                queue = queues[fu]
-                if queue:
-                    cap = limits[fu] - used[fu]
-                    if cap > 0:
-                        if cap == 1:   # the default width: no slice
-                            key = queue.pop(0)
-                            used[fu] += 1
-                            if key > stop:
-                                stop = key
-                            issued.append((key, node_ticks[key & mask]))
+        launch, walk_memory = self._launch, self._walk_memory
+        ready, lane_ready = self._ready, self._lane_ready
+        fu_used, fu_zero = self._fu_used, self._fu_zero
+        new_cycle = self.mem_if.new_cycle
+        lanes = range(self.lanes)
+        node_ticks, node_round = self._node_ticks, self._node_round
+        node_lane, node_fu = self._node_lane, self._node_fu
+        indegree, successors = self._indegree, self._successors
+        ii_gated = self._ii_gated
+        gated = self.round_barriers or ii_gated
+        parked, remaining = self._round_parked, self._round_remaining
+        num_rounds, num_nodes = len(remaining), self._num_nodes
+        busy_end = self.busy.end
+        launched, issued, tails = [], [], []
+        try:
+            while True:
+                if kind == _PASS:
+                    # -- one cycle's issue pass -------------------------
+                    pending.discard(now)
+                    # Reset per-cycle FU budgets on a new cycle.
+                    cycle = now // period
+                    if cycle != self._state_cycle:
+                        self._state_cycle = cycle
+                        for used in fu_used:
+                            used[:] = fu_zero
+                        new_cycle(cycle)
+                    batches = {}
+                    conflicts = 0
+                    taken_all = 0
+                    # Lanes with ready nodes (no other lane gains any).
+                    for lane in compress(lanes, lane_ready):
+                        left = lane_ready[lane]
+                        queues = ready[lane]
+                        used = fu_used[lane]
+                        mem = queues[_MEM]
+                        queued = len(mem)
+                        left -= queued
+                        # Compute classes: the issuable heads go in bulk.
+                        issued.clear()
+                        tails.clear()
+                        stop = -1
+                        for fu in (_COMPUTE_FUS if left else ()):
+                            fu_queue = queues[fu]
+                            if fu_queue:
+                                left -= len(fu_queue)
+                                cap = limits[fu] - used[fu]
+                                if cap > 0:
+                                    if cap == 1:   # the default: no slice
+                                        key = fu_queue.pop(0)
+                                        used[fu] += 1
+                                        if key > stop:
+                                            stop = key
+                                        issued.append(
+                                            (key, node_ticks[key & mask]))
+                                    else:
+                                        heads = fu_queue[:cap]
+                                        del fu_queue[:cap]
+                                        used[fu] += len(heads)
+                                        if heads[-1] > stop:
+                                            stop = heads[-1]
+                                        for key in heads:
+                                            issued.append(
+                                                (key, node_ticks[key & mask]))
+                                    if fu_queue:
+                                        tails.append(fu_queue)
+                                else:
+                                    tails.append(fu_queue)
+                                if not left:
+                                    break
+                        taken = len(issued)
+                        if queued and used[_MEM] < mem_limit:
+                            mem_full = walk_memory(now, cycle, lane, mem, used,
+                                                   issued, launched, batches)
+                            taken += queued - len(mem)
+                            if mem_full > stop:
+                                stop = mem_full
+                        elif stop < 0:
+                            continue   # nothing issuable: the lane is skipped
                         else:
-                            heads = queue[:cap]
-                            del queue[:cap]
-                            used[fu] += len(heads)
-                            if heads[-1] > stop:
-                                stop = heads[-1]
-                            for key in heads:
-                                issued.append((key, node_ticks[key & mask]))
-                        if queue:
-                            tails.append(queue)
+                            mem_full = -1
+                            issued.sort()
+                            launched.extend(issued)
+                        lane_ready[lane] -= taken
+                        taken_all += taken
+                        for fu_queue in tails:
+                            conflicts += bisect_left(fu_queue, stop)
+                        if mem and mem_full < stop:
+                            conflicts += (bisect_left(mem, stop)
+                                          - bisect_left(mem, mem_full))
+                    self._num_ready -= taken_all
+                    self.reservation_conflicts += conflicts
+                    if launched:
+                        launch(now, launched, batches)
+                    # Anything still queued retries next cycle.
+                    if self._num_ready:
+                        nxt = now + 1
+                        rem = nxt % period
+                        when = nxt if rem == 0 else nxt + (period - rem)
+                        if not pending or min(pending) > when:
+                            pending.add(when)
+                            seq = queue._seq
+                            queue._seq = seq + 1
+                            heappush(agenda, (when, seq, _PASS, None))
+                elif kind == _BATCH:
+                    # -- completions sharing this tick, in order --------
+                    in_flight = self._in_flight
+                    completed = self._completed
+                    # _enqueue_ready inlined: the next key and the ready
+                    # count live in locals, synced around round advances
+                    # (which enqueue too).
+                    key = start_key = self._next_key
+                    for node in arg:
+                        in_flight -= 1
+                        if in_flight == 0:
+                            busy_end(now)
+                        succs = successors[node]
+                        if succs:
+                            current_round = self._current_round
+                            for succ in succs:
+                                indegree[succ] -= 1
+                                if indegree[succ] == 0:
+                                    r = node_round[succ]
+                                    if gated and r > current_round:
+                                        if r in parked:
+                                            parked[r].append(succ)
+                                        else:
+                                            parked[r] = [succ]
+                                    else:
+                                        lane = node_lane[succ]
+                                        ready[lane][node_fu[succ]].append(
+                                            key + succ)
+                                        lane_ready[lane] += 1
+                                        key += step
+                        r = node_round[node]
+                        if r >= 0 and gated:
+                            remaining[r] -= 1
+                            # Under barriers round r is the current one.
+                            current = (self._current_round
+                                       if ii_gated or not remaining[r]
+                                       else num_rounds)
+                            if (current < num_rounds
+                                    and remaining[current] == 0):
+                                self._num_ready += (key - start_key) // step
+                                self._next_key = key
+                                self._advance_rounds()
+                                key = start_key = self._next_key
+                        completed += 1
+                    self._num_ready += (key - start_key) // step
+                    self._next_key = key
+                    self._in_flight = in_flight
+                    self._completed = completed
+                    if completed == num_nodes:
+                        self._finish()
                     else:
-                        tails.append(queue)
-            taken = len(issued)
-            if mem and used[_MEM] < mem_limit:
-                queued = len(mem)
-                mem_full = walk_memory(now, cycle, lane, mem, used, issued,
-                                       launched, batches)
-                taken += queued - len(mem)
-                if mem_full > stop:
-                    stop = mem_full
-            elif stop < 0:
-                continue   # nothing issuable: the scan skips the lane
-            else:
-                mem_full = -1
-                issued.sort()
-                launched += issued
-            lane_ready[lane] -= taken
-            for queue in tails:
-                conflicts += bisect_left(queue, stop)
-            if mem and mem_full < stop:
-                conflicts += (bisect_left(mem, stop)
-                              - bisect_left(mem, mem_full))
-        self._num_ready = sum(lane_ready)
-        self.reservation_conflicts += conflicts
-        if launched:
-            self._launch(now, launched, batches)
-        # Anything still queued retries next cycle (edge_after inlined).
-        if self._num_ready:
-            period = self._period
-            nxt = now + 1
-            rem = nxt % period
-            when = nxt if rem == 0 else nxt + (period - rem)
-            pending = self._scheduled_passes
-            if when not in pending and (not pending or min(pending) > when):
-                pending.add(when)
-                self._queue.schedule_at(when, self._issue_pass)
+                        self._kick()
+                else:
+                    self._open_gate(arg)
+                # -- the next entry, unless something queued is due first
+                if horizon is None:
+                    break
+                if agenda:
+                    entry = agenda[0]
+                    when = entry[0]
+                    if when == now or not zero:
+                        if (budget <= 0
+                                or (when != now and (fifo or when > horizon))
+                                or (posted and entry[1] in posted)
+                                or (heap and heap[0] < entry)):
+                            break
+                        heappop(agenda)
+                        queue.now = now = when
+                        kind = entry[2]
+                        arg = entry[3]
+                        budget -= 1
+                        continue
+                if len(zero) <= self._zero_posted:
+                    break   # empty, or each entry has its own event
+                kind, arg = zero.popleft()
+                budget -= 1
+        finally:
+            queue.budget = budget
+        self._post()
+
+    def _at(self, when, kind, arg):
+        """Add an agenda entry due at ``when``, in the place the event
+        queue would have given its event (see the cycle loop above)."""
+        queue = self._queue
+        if when > queue.now:
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(self._agenda, (when, seq, kind, arg))
+            return
+        self._zero.append((kind, arg))
+        heap = queue._heap
+        if queue._fifo or (heap and heap[0][0] == when):
+            queue._fifo.append((self._issue_pass, ()))
+            self._zero_posted += 1
+
+    def _post(self):
+        """Queue an ``_issue_pass`` event for the earliest agenda entry,
+        unless one is queued already."""
+        agenda, zero, queue = self._agenda, self._zero, self._queue
+        if agenda and (agenda[0][0] == queue.now or not zero):
+            when, seq = agenda[0][:2]
+            if seq not in self._posted:
+                self._posted.add(seq)
+                heappush(queue._heap, (when, seq, self._issue_pass, ()))
+        while len(zero) > self._zero_posted:
+            queue._fifo.append((self._issue_pass, ()))
+            self._zero_posted += 1
 
     def _spad_walker(self):
         """``walk(now, cycle, lane, mem, used, issued, launched, batches)``
@@ -406,6 +567,7 @@ class DatapathScheduler:
         # _MEMO_BLOCKED nodes: (count, banks, lines cleared).
         blocked = [None] * self.lanes
         gated = plan_bits[1:]
+        lines_cleared = attrgetter("lines_cleared")
 
         def walk(now, cycle, lane, mem, used, issued, launched, batches):
             start = 0
@@ -416,7 +578,7 @@ class DatapathScheduler:
                     if slot[0] != cycle or slot[1] < ports:
                         break
                 else:
-                    if memo[2] == sum(b.lines_cleared for b in gated):
+                    if memo[2] == sum(map(lines_cleared, gated)):
                         start = memo[0]
             lost = start
             end = _NEVER
@@ -467,7 +629,7 @@ class DatapathScheduler:
             if lost >= _MEMO_BLOCKED:
                 if lost != start:
                     memo = (lost, {plans[k & mask][0] for k in mem[:lost]},
-                            sum(b.lines_cleared for b in gated))
+                            sum(map(lines_cleared, gated)))
                 blocked[lane] = memo
             else:
                 blocked[lane] = None
@@ -589,21 +751,20 @@ class DatapathScheduler:
     def _launcher(self):
         """``launch(now, launched, batches)`` starts and clears the
         ``(key, delay)`` pairs of ``launched`` (``delay`` None: the memory
-        system owns the completion).  Nodes due at one tick share an event;
-        a batch (``batches``: delay -> [nodes, expected queue seq]) takes a
-        node only if no other event was scheduled since its last one.
+        system owns the completion).  Nodes due at one tick share an
+        agenda entry; a batch (``batches``: delay -> [nodes, expected
+        queue seq]) takes a node only if no other event was scheduled
+        since its last one.
         """
         evq = self._queue
-        schedule = evq.schedule
-        complete_batch = self._complete_batch
-        complete = self.complete_node
+        agenda = self._agenda
         busy_begin = self.busy.begin
         mask = self._key_mask
         node_kind = self._node_kind
         node_round = self._node_round
         round_started = self._round_started
         ii_ticks = self._ii_ticks
-        open_gate = self._open_gate
+        at = self._at
 
         def launch(now, launched, batches):
             if not self._in_flight:
@@ -620,8 +781,10 @@ class DatapathScheduler:
                     if rr >= 0 and not round_started[rr]:
                         round_started[rr] = True
                         if rr + 1 < len(round_started):
-                            evq.schedule_at(now + ii_ticks, open_gate,
-                                            rr + 1)
+                            seq = evq._seq
+                            evq._seq = seq + 1
+                            heappush(agenda, (now + ii_ticks, seq, _GATE,
+                                              rr + 1))
                 kind = node_kind[node]
                 if kind == 1:
                     loads += 1
@@ -631,20 +794,21 @@ class DatapathScheduler:
                     continue
                 if delay > 0:
                     entry = batches.get(delay)
-                    if entry is not None and entry[1] == evq._seq:
+                    seq = evq._seq
+                    if entry is not None and entry[1] == seq:
                         entry[0].append(node)
                     else:
                         lst = [node]
-                        seq = evq._seq
-                        schedule(delay, complete_batch, lst)
+                        evq._seq = seq + 1
+                        heappush(agenda, (now + delay, seq, _BATCH, lst))
                         for e in batches.values():
                             if e[1] == seq:
                                 e[1] = seq + 1
                         batches[delay] = [lst, seq + 1]
                 else:
-                    # Zero-delay events live in the tick FIFO, which
-                    # assigns no sequence numbers — unbatchable.
-                    schedule(0, complete, node)
+                    # Due now: queue-FIFO rank, which carries no sequence
+                    # number to guard a batch on.
+                    at(now, _BATCH, (node,))
             self.issued_loads += loads
             self.issued_stores += stores
             launched.clear()
@@ -653,82 +817,9 @@ class DatapathScheduler:
 
     # -- completion -----------------------------------------------------------
 
-    def _complete_batch(self, nodes):
-        """Complete, in order, nodes that share one completion tick.  The
-        kick runs once: per-node kicks after the first would be no-ops.
-        """
-        queue = self._queue
-        now = queue.now
-        in_flight = self._in_flight
-        indegree = self._indegree
-        successors = self._successors
-        node_round = self._node_round
-        node_lane = self._node_lane
-        node_fu = self._node_fu
-        ready = self._ready
-        lane_ready = self._lane_ready
-        step = self._key_step
-        gated = self.round_barriers or self._ii_gated
-        parked = self._round_parked
-        remaining = self._round_remaining
-        num_rounds = len(remaining)
-        completed = self._completed
-        num_nodes = self._num_nodes
-        finished = False
-        # _enqueue_ready inlined: the next key and the ready count live in
-        # locals, synced around round advances (which enqueue too).
-        key = start_key = self._next_key
-        for node in nodes:
-            in_flight -= 1
-            if in_flight == 0:
-                self.busy.end(now)
-            succs = successors[node]
-            if succs:
-                current_round = self._current_round
-                for succ in succs:
-                    indegree[succ] -= 1
-                    if indegree[succ] == 0:
-                        r = node_round[succ]
-                        if gated and r > current_round:
-                            if r in parked:
-                                parked[r].append(succ)
-                            else:
-                                parked[r] = [succ]
-                        else:
-                            lane = node_lane[succ]
-                            ready[lane][node_fu[succ]].append(key + succ)
-                            lane_ready[lane] += 1
-                            key += step
-            r = node_round[node]
-            if r >= 0 and gated:
-                remaining[r] -= 1
-                current = self._current_round
-                if current < num_rounds and remaining[current] == 0:
-                    self._num_ready += (key - start_key) // step
-                    self._next_key = key
-                    self._advance_rounds()
-                    key = start_key = self._next_key
-            completed += 1
-            if completed == num_nodes:
-                finished = True
-        self._num_ready += (key - start_key) // step
-        self._next_key = key
-        self._in_flight = in_flight
-        self._completed = completed
-        if finished:
-            self._finish()
-            return
-        if self._num_ready:
-            remainder = now % self._period
-            when = now if remainder == 0 else now + (self._period - remainder)
-            pending = self._scheduled_passes
-            if not pending or min(pending) > when:
-                pending.add(when)
-                queue.schedule_at(when, self._issue_pass)
-
     def complete_node(self, node):
         """A node's result is available (called by the memory system)."""
-        self._complete_batch((node,))
+        self._issue_pass(_BATCH, (node,))
 
     def _advance_rounds(self):
         while (self._current_round < len(self._round_remaining)

@@ -38,9 +38,10 @@ class SystemBus:
         self.num_requests = 0
         self.queue_ticks = 0      # total arbitration wait (grant - issue)
         self.max_queue_ticks = 0
-        # Optional per-request queue-wait distribution, installed by
-        # reg_stats (None keeps the request path free of sampling).
-        self.queue_wait_dist = None
+        # Per-request queue-wait distributions, one per registry that
+        # reg_stats attached (none keeps the request path free of
+        # sampling).
+        self.queue_wait_dists = ()
         self._trace = trace.tracer("bus", name)
 
     def occupancy_ticks(self, size):
@@ -71,8 +72,9 @@ class SystemBus:
         waited = grant - now
         self.queue_ticks += waited
         self.max_queue_ticks = max(self.max_queue_ticks, waited)
-        if self.queue_wait_dist is not None:
-            self.queue_wait_dist.sample(waited)
+        if self.queue_wait_dists:
+            for dist in self.queue_wait_dists:
+                dist.sample(waited)
         if self._trace is not None:
             self._trace(now,
                         "%s 0x%x size=%d from=%s waited=%d occupy=[%d,%d)",
@@ -107,8 +109,9 @@ class SystemBus:
     def reg_stats(self, stats, prefix="soc.bus"):
         """Mirror this bus's counters into a stats registry.
 
-        Also installs the per-request queue-wait :class:`~repro.obs.stats.
-        Distribution` (sampling starts once the registry is attached).
+        Also adds a per-request queue-wait :class:`~repro.obs.stats.
+        Distribution` to the ones the bus samples into (sampling starts
+        once the registry is attached; earlier registries keep sampling).
         """
         stats.scalar(f"{prefix}.requests", lambda: self.num_requests,
                      desc="transfers granted")
@@ -125,5 +128,5 @@ class SystemBus:
                       lambda ticks, reqs: ticks / reqs,
                       deps=(f"{prefix}.queue_ticks", f"{prefix}.requests"),
                       desc="mean arbitration wait per request")
-        self.queue_wait_dist = stats.distribution(
-            f"{prefix}.queue_wait", desc="arbitration wait per request")
+        self.queue_wait_dists += (stats.distribution(
+            f"{prefix}.queue_wait", desc="arbitration wait per request"),)

@@ -19,6 +19,10 @@ Hot-path notes (see DESIGN.md "Kernel fast paths"):
   :meth:`step` per event, and binds the heap/FIFO to locals.
 * Profiling (:mod:`repro.sim.profiling`) is opt-in: when no profiler is
   attached, the only cost is one ``is None`` check per :meth:`run` call.
+* A callback may run events of its own inline, as the datapath's cycle
+  loop does (DESIGN.md, "Datapath cycle loop"): it reads the next queued
+  ``(tick, seq)`` from ``_heap[0]`` and ``_fifo``, stops at
+  :attr:`EventQueue.horizon`, and spends :attr:`EventQueue.budget`.
 """
 
 import heapq
@@ -26,6 +30,8 @@ from collections import deque
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs import trace
+
+_FOREVER = float("inf")
 
 
 class EventQueue:
@@ -35,7 +41,8 @@ class EventQueue:
     sequence number breaks ties), which keeps simulations deterministic.
     """
 
-    __slots__ = ("_heap", "_fifo", "_seq", "now", "_profiler")
+    __slots__ = ("_heap", "_fifo", "_seq", "now", "_profiler", "horizon",
+                 "budget")
 
     def __init__(self):
         self._heap = []
@@ -43,6 +50,10 @@ class EventQueue:
         self._seq = 0
         self.now = 0
         self._profiler = None
+        # The running run()'s ``until`` (no event past it may run) and the
+        # events it may still run, inline ones included.
+        self.horizon = _FOREVER
+        self.budget = 0
 
     def set_profiler(self, profiler):
         """Attach (or with ``None`` detach) an event profiler.
@@ -105,16 +116,15 @@ class EventQueue:
         heap = self._heap
         if heap and heap[0][0] == self.now:
             _when, _seq, callback, args = heapq.heappop(heap)
-            callback(*args)
-            return True
-        if self._fifo:
+        elif self._fifo:
             callback, args = self._fifo.popleft()
-            callback(*args)
-            return True
-        if not heap:
+        elif not heap:
             return False
-        when, _seq, callback, args = heapq.heappop(heap)
-        self.now = when
+        else:
+            when, _seq, callback, args = heapq.heappop(heap)
+            self.now = when
+        # Events a callback runs inline stay within this tick.
+        self.horizon = self.now
         callback(*args)
         return True
 
@@ -122,14 +132,17 @@ class EventQueue:
         """Drain the queue.
 
         ``max_events`` guards against livelock (a runaway simulation raises
-        :class:`SimulationError` rather than spinning forever).  ``until``
-        optionally stops the simulation once the next event would fire past
-        that tick; ``now`` advances to ``until`` either way — including
-        when the queue drains before the horizon.
+        :class:`SimulationError` rather than spinning forever); events a
+        callback runs inline count toward it.  ``until`` optionally stops
+        the simulation once the next event would fire past that tick;
+        ``now`` advances to ``until`` either way — including when the
+        queue drains before the horizon.  Returns the events run.
         """
+        self.horizon = _FOREVER if until is None else until
+        self.budget = max_events
         if self._profiler is not None:
-            return self._run_profiled(max_events, until)
-        executed = 0
+            self._run_profiled(max_events, until)
+            return max_events - self.budget
         heap = self._heap
         fifo = self._fifo
         pop = heapq.heappop
@@ -139,19 +152,19 @@ class EventQueue:
             # sequence numbers predate everything in the FIFO), then the
             # same-tick FIFO, then advance to the next heap tick.
             if heap and heap[0][0] == self.now:
-                if executed >= max_events:
+                if self.budget <= 0:
                     raise _budget_error(max_events)
                 callback, args = pop(heap)[2:]
             elif fifo:
-                if executed >= max_events:
+                if self.budget <= 0:
                     raise _budget_error(max_events)
                 callback, args = popleft()
             elif heap:
                 when = heap[0][0]
                 if until is not None and when > until:
                     self.now = until
-                    return executed
-                if executed >= max_events:
+                    return max_events - self.budget
+                if self.budget <= 0:
                     raise _budget_error(max_events)
                 entry = pop(heap)
                 self.now = entry[0]
@@ -159,9 +172,9 @@ class EventQueue:
             else:
                 if until is not None and self.now < until:
                     self.now = until
-                return executed
+                return max_events - self.budget
+            self.budget -= 1
             callback(*args)
-            executed += 1
 
     def _run_profiled(self, max_events, until):
         """The :meth:`run` loop with per-callback wall-time attribution.
@@ -170,25 +183,24 @@ class EventQueue:
         instrumentation.
         """
         profiler = self._profiler
-        executed = 0
         heap = self._heap
         fifo = self._fifo
         pop = heapq.heappop
         while True:
             if heap and heap[0][0] == self.now:
-                if executed >= max_events:
+                if self.budget <= 0:
                     raise _budget_error(max_events)
                 callback, args = pop(heap)[2:]
             elif fifo:
-                if executed >= max_events:
+                if self.budget <= 0:
                     raise _budget_error(max_events)
                 callback, args = fifo.popleft()
             elif heap:
                 when = heap[0][0]
                 if until is not None and when > until:
                     self.now = until
-                    return executed
-                if executed >= max_events:
+                    return
+                if self.budget <= 0:
                     raise _budget_error(max_events)
                 entry = pop(heap)
                 self.now = entry[0]
@@ -196,9 +208,9 @@ class EventQueue:
             else:
                 if until is not None and self.now < until:
                     self.now = until
-                return executed
+                return
+            self.budget -= 1
             profiler.run_event(callback, args)
-            executed += 1
 
 
 def _budget_error(max_events):

@@ -20,11 +20,19 @@ class IntervalTracker:
         self.intervals = []
         self._depth = 0
         self._open_start = None
+        self._extending = None   # index of the interval the open one extends
 
     def begin(self, now):
-        """Open (or nest into) a busy interval at tick ``now``."""
+        """Open (or nest into) a busy interval at tick ``now``.  Busy
+        again at the tick the last interval closed, it extends that one
+        when it closes instead of recording a new one."""
         if self._depth == 0:
-            self._open_start = now
+            intervals = self.intervals
+            if intervals and intervals[-1][1] == now:
+                self._extending = len(intervals) - 1
+                self._open_start = intervals[-1][0]
+            else:
+                self._open_start = now
         self._depth += 1
 
     def end(self, now):
@@ -33,7 +41,10 @@ class IntervalTracker:
             raise ValueError(f"IntervalTracker {self.name!r}: end without begin")
         self._depth -= 1
         if self._depth == 0:
-            if now > self._open_start:
+            if self._extending is not None:
+                self.intervals[self._extending] = (self._open_start, now)
+                self._extending = None
+            elif now > self._open_start:
                 self.intervals.append((self._open_start, now))
             self._open_start = None
 

@@ -10,11 +10,11 @@ FU class it still queues is saturated.  Retained nodes keep their order.
 
 ``reference_pass(sched, queues)`` runs one pass on ``sched`` at the
 current tick with ``queues[lane]`` standing in for the ready set (it is
-rewritten in place), mutating the scheduler, the memory interface and
-the event queue exactly as that scan did.
+rewritten in place), mutating the scheduler, the memory interface, the
+scheduler's agenda and the event queue exactly as that scan did.
 """
 
-from repro.aladdin.scheduler import SpadInterface
+from repro.aladdin.scheduler import _BATCH, _GATE, _PASS, SpadInterface
 
 _NUM_FU = 6
 
@@ -47,9 +47,7 @@ def reference_pass(sched, queues):
         plan_ready = mem_if._plan_ready
         resume = sched.resume_parked
     evq = sched._queue
-    schedule = evq.schedule
-    complete = sched.complete_node
-    complete_batch = sched._complete_batch
+    at = sched._at
     busy_begin = sched.busy.begin
     in_flight = sched._in_flight
     loads = 0
@@ -69,9 +67,7 @@ def reference_pass(sched, queues):
     if round_started is not None:
         node_round = sched._node_round
         ii_ticks = sched._ii_ticks
-        open_gate = sched._open_gate
         num_rounds = len(round_started)
-        schedule_at = evq.schedule_at
     for lane in range(sched.lanes):
         queue = queues[lane]
         if not queue:
@@ -142,8 +138,7 @@ def reference_pass(sched, queues):
                         if rr >= 0 and not round_started[rr]:
                             round_started[rr] = True
                             if rr + 1 < num_rounds:
-                                schedule_at(now + ii_ticks, open_gate,
-                                            rr + 1)
+                                at(now + ii_ticks, _GATE, rr + 1)
                     if kind == 1:
                         loads += 1
                     else:
@@ -159,7 +154,7 @@ def reference_pass(sched, queues):
                             else:
                                 lst = [node]
                                 seq = evq._seq
-                                schedule(status, complete_batch, lst)
+                                at(now + status, _BATCH, lst)
                                 for e in batches.values():
                                     if e[1] == seq:
                                         e[1] = seq + 1
@@ -177,7 +172,7 @@ def reference_pass(sched, queues):
                     if rr >= 0 and not round_started[rr]:
                         round_started[rr] = True
                         if rr + 1 < num_rounds:
-                            schedule_at(now + ii_ticks, open_gate, rr + 1)
+                            at(now + ii_ticks, _GATE, rr + 1)
                 delay = node_ticks[node]
                 if delay == last_delay and last_entry[1] == evq._seq:
                     last_entry[0].append(node)
@@ -188,7 +183,7 @@ def reference_pass(sched, queues):
                     else:
                         lst = [node]
                         seq = evq._seq
-                        schedule(delay, complete_batch, lst)
+                        at(now + delay, _BATCH, lst)
                         for e in batches.values():
                             if e[1] == seq:
                                 e[1] = seq + 1
@@ -196,7 +191,7 @@ def reference_pass(sched, queues):
                     last_delay = delay
                     last_entry = entry
                 else:
-                    schedule(0, complete, node)
+                    at(now, _BATCH, (node,))
             num_ready -= 1
             if counts[fu] == 0 or used[fu] >= limits[fu]:
                 issuable -= 1
@@ -217,4 +212,6 @@ def reference_pass(sched, queues):
         pending = sched._scheduled_passes
         if when not in pending and (not pending or min(pending) > when):
             pending.add(when)
-            evq.schedule_at(when, sched._issue_pass)
+            at(when, _PASS, None)
+    # Like the cycle loop, queue an event for the earliest agenda entry.
+    sched._post()

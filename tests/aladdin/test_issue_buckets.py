@@ -21,6 +21,7 @@ from repro.aladdin.accelerator import make_scratchpad
 from repro.aladdin.ddg import DDDG
 from repro.aladdin.ir import FuClass
 from repro.aladdin.scheduler import (
+    _PASS,
     CacheInterface,
     DatapathScheduler,
     SpadInterface,
@@ -199,6 +200,9 @@ def _events(sched):
             for when, seq, cb, args in sorted(queue._heap)]
     rows += [("fifo", _name(cb), [_arg(a) for a in args])
              for cb, args in queue._fifo]
+    rows += [("agenda", when, seq, kind, _arg(arg))
+             for when, seq, kind, arg in sorted(sched._agenda)]
+    rows += [("now", kind, _arg(arg)) for kind, arg in sched._zero]
     return rows
 
 
@@ -276,7 +280,7 @@ def _run(world, s, reference):
             if reference:
                 reference_pass(sched, queues)
             else:
-                sched._issue_pass()
+                sched._issue_pass(_PASS, None)
         except Exception as exc:  # noqa: BLE001 — compared below
             outcomes.append(("raised", type(exc), str(exc),
                              _error_state(parts)))
@@ -377,7 +381,7 @@ def test_saturated_classes_are_counted_without_probing():
     sched, parts = _spad_world(s)
     for node in [n.node for n in muls] + [n.node for n in loads]:
         sched._enqueue_ready(node)
-    sched._issue_pass()
+    sched._issue_pass(_PASS, None)
     assert sched.reservation_conflicts == 9
     assert parts["spad"].conflicts == 10
     assert _retained(sched) == [[n.node for n in muls[1:]]

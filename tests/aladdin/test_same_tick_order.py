@@ -365,6 +365,22 @@ def test_until_mid_datapath_leaves_the_pinned_state(name, early):
         STEPPED[(name, early)]
 
 
+#: ``Simulator.events_executed`` per scenario, as counted when every
+#: issue pass and completion batch was a queue event of its own.
+EVENTS = {("ready-bit", True): 15, ("ready-bit", False): 17,
+          ("miss-fill", True): 18, ("miss-fill", False): 20,
+          ("tlb-walk", True): 33, ("tlb-walk", False): 35,
+          ("ii-gate", True): 24, ("ii-gate", False): 32}
+
+
+@pytest.mark.parametrize("name,early", CASES)
+def test_inline_entries_count_as_the_events_they_replace(name, early):
+    sim, sched, _parts = SCENARIOS[name](early)
+    sched.start()
+    assert sim.run() == EVENTS[(name, early)]
+    assert sim.events_executed == EVENTS[(name, early)]
+
+
 def test_livelocked_datapath_spends_the_event_budget():
     sim, sched, parts = _livelock()
     sched.start()

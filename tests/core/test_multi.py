@@ -200,3 +200,25 @@ class TestDoubleBuffering:
         a = DesignPoint(double_buffer=False)
         b = DesignPoint(double_buffer=True)
         assert a.key() != b.key()
+
+
+class TestQueueWaitSampling:
+    def test_every_attached_registry_keeps_sampling(self):
+        """Attaching a second registry used to move the bus's queue-wait
+        sampling to it, so the first one stopped growing."""
+        from repro.obs.stats import StatRegistry
+
+        multi = MultiAcceleratorSoC([("aes-aes", small_dma()),
+                                     ("kmp", DesignPoint(
+                                         lanes=2, partitions=2,
+                                         mem_interface="cache"))])
+        registries = [StatRegistry(), StatRegistry()]
+        for registry in registries:
+            for soc in multi.socs:
+                soc.reg_stats(registry)
+        multi.run()
+        counts = [r["soc.bus.queue_wait"].summary()["count"]
+                  for r in registries]
+        requests = registries[0].value("soc.bus.requests")
+        assert counts == [requests, requests]
+        assert requests > 0

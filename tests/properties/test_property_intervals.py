@@ -6,7 +6,9 @@ algebra, so its invariants must hold for arbitrary interval sets.
 
 from hypothesis import given, strategies as st
 
+from repro.core.metrics import classify_breakdown
 from repro.sim.stats import (
+    IntervalTracker,
     intersect,
     merge_intervals,
     subtract,
@@ -76,3 +78,83 @@ def test_partition_identity(a, b):
 def test_intersect_with_subtract_covers_a(a, b):
     lhs = merge_intervals(subtract(a, b) + intersect(a, b))
     assert lhs == merge_intervals(a)
+
+
+class _AppendOnlyTracker:
+    """IntervalTracker as it was before busy intervals coalesced: every
+    busy period is its own tuple."""
+
+    def __init__(self):
+        self.intervals = []
+        self._depth = 0
+        self._open_start = None
+
+    def begin(self, now):
+        if self._depth == 0:
+            self._open_start = now
+        self._depth += 1
+
+    def end(self, now):
+        self._depth -= 1
+        if self._depth == 0:
+            if now > self._open_start:
+                self.intervals.append((self._open_start, now))
+            self._open_start = None
+
+    def add(self, start, end):
+        if end > start:
+            self.intervals.append((start, end))
+
+
+@st.composite
+def tracker_calls(draw):
+    """begin/end/add calls at non-decreasing ticks, ends matched."""
+    calls = []
+    now = 0
+    depth = 0
+    for _ in range(draw(st.integers(0, 40))):
+        now += draw(st.sampled_from((0, 0, 1, 3, 10)))
+        op = draw(st.sampled_from(("begin", "end", "add")))
+        if op == "end" and depth == 0:
+            op = "begin"
+        if op == "add":
+            start = draw(st.integers(0, now + 5))
+            calls.append(("add", start, start + draw(st.integers(0, 8))))
+            continue
+        depth += 1 if op == "begin" else -1
+        calls.append((op, now))
+    return calls
+
+
+@given(tracker_calls(), intervals, intervals)
+def test_coalesced_tracker_matches_append_only(calls, flush, dma):
+    coalesced = IntervalTracker()
+    reference = _AppendOnlyTracker()
+    for op, *args in calls:
+        getattr(coalesced, op)(*args)
+        getattr(reference, op)(*args)
+        # Equal after every call, not only once the tracker is idle.
+        assert coalesced.merged() == merge_intervals(reference.intervals)
+        assert coalesced.total_busy() == total_covered(reference.intervals)
+        assert coalesced.busy == (reference._depth > 0)
+    assert len(coalesced.intervals) <= len(reference.intervals)
+    span = max([end for _s, end in coalesced.intervals + flush + dma],
+               default=0) + 5
+    for role in range(3):
+        mine = [flush, dma, coalesced.intervals]
+        theirs = [flush, dma, reference.intervals]
+        mine[role], mine[2] = mine[2], mine[role]
+        theirs[role], theirs[2] = theirs[2], theirs[role]
+        assert (classify_breakdown(span, *mine)
+                == classify_breakdown(span, *theirs))
+
+
+def test_back_to_back_busy_periods_share_one_interval():
+    tracker = IntervalTracker()
+    for start in (0, 10, 20):
+        tracker.begin(start)
+        tracker.end(start + 10)
+    assert tracker.intervals == [(0, 30)]
+    tracker.begin(40)
+    tracker.end(50)
+    assert tracker.intervals == [(0, 30), (40, 50)]
