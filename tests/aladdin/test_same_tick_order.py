@@ -365,6 +365,17 @@ def test_until_mid_datapath_leaves_the_pinned_state(name, early):
         STEPPED[(name, early)]
 
 
+@pytest.mark.parametrize("name,early", CASES)
+def test_stepping_event_by_event_reaches_the_pinned_outcome(name, early):
+    """``EventQueue.step`` runs one queued event; the cycle loop it
+    dispatches runs no entry past that event's tick."""
+    sim, sched, parts = SCENARIOS[name](early)
+    sched.start()
+    while sim.queue.step():
+        pass
+    assert _outcome(sched, parts) == PINNED[(name, early)]
+
+
 #: ``Simulator.events_executed`` per scenario, as counted when every
 #: issue pass and completion batch was a queue event of its own.
 EVENTS = {("ready-bit", True): 15, ("ready-bit", False): 17,
