@@ -34,8 +34,9 @@ import os
 import threading
 import time
 
-from repro.core.config import PARAMETER_TABLE
+from repro.core.config import PARAMETER_TABLE, DesignPoint
 from repro.core.export import result_record, results_to_json
+from repro.core.metrics import RunResult
 from repro.core.pareto import edp_optimal, pareto_frontier
 from repro.core.sweep import cache_design_space, dma_design_space, run_sweep
 from repro.core.sweeppool import SweepCache, sweep_key
@@ -146,17 +147,12 @@ def test_warm_query_answers_without_simulation(tmp_path):
         assert pareto["service"]["hits"] == len(grid)
         assert pareto["missing"] == 0
 
-    # The reductions must be the ones the warming sweep implies
-    # (records match field for field once the service's fidelity tag
-    # is set aside).
-    def untagged(record):
-        return {k: v for k, v in record.items() if k != "fidelity"}
-
-    assert [untagged(r) for r in pareto["frontier"]] == \
+    # The reductions must be the ones the warming sweep implies, record
+    # for record.
+    assert pareto["frontier"] == \
         [result_record(f) for f in pareto_frontier(exact)], \
         "queried frontier diverged from the exact sweep's"
-    assert untagged(edp["edp_optimal"]) == \
-        result_record(edp_optimal(exact)), \
+    assert edp["edp_optimal"] == result_record(edp_optimal(exact)), \
         "queried EDP optimum diverged from the exact sweep's"
 
     speedup = warm_s / query_s
@@ -190,8 +186,9 @@ def test_get_many_beats_per_key_gets(tmp_path):
         return hashlib.sha256(f"point-{i}".encode()).hexdigest()
 
     keys = [fake_key(i) for i in range(probed)]
-    for key in keys[:cached]:
-        writer.put(key, f"result-{key[:8]}")
+    for i, key in enumerate(keys[:cached]):
+        writer.put(key, RunResult(WORKLOAD, DesignPoint(), i + 1, i + 1,
+                                  {}, None, energy_pj=1.0))
 
     t0 = time.perf_counter()
     loop_hits = {}
@@ -207,7 +204,10 @@ def test_get_many_beats_per_key_gets(tmp_path):
     batch_hits = reader.get_many(keys)
     batch_s = time.perf_counter() - t0
 
-    assert batch_hits == loop_hits, \
+    def ticks(hits):
+        return {key: result.total_ticks for key, result in hits.items()}
+
+    assert ticks(batch_hits) == ticks(loop_hits), \
         "get_many returned different results than per-key gets"
     assert len(batch_hits) == cached
 

@@ -79,8 +79,16 @@ class AreaBreakdown:
 
     def as_dict(self):
         """Component areas as a plain dict (um^2)."""
-        return {"fu": self.fu, "registers": self.registers,
-                "spad": self.spad, "cache": self.cache, "tlb": self.tlb}
+        return dict(vars(self))
+
+    @classmethod
+    def from_dict(cls, doc):
+        """The breakdown :meth:`as_dict` returned ``doc`` for."""
+        bd = cls()
+        if not isinstance(doc, dict) or doc.keys() != vars(bd).keys():
+            raise ValueError(f"not an area breakdown: {doc!r}")
+        vars(bd).update(doc)
+        return bd
 
 
 class AreaModel:

@@ -90,15 +90,16 @@ class EnergyBreakdown:
 
     def as_dict(self):
         """Component energies as a plain dict (pJ)."""
-        return {
-            "fu_dynamic": self.fu_dynamic,
-            "fu_leakage": self.fu_leakage,
-            "spad_dynamic": self.spad_dynamic,
-            "spad_leakage": self.spad_leakage,
-            "cache_dynamic": self.cache_dynamic,
-            "cache_leakage": self.cache_leakage,
-            "tlb": self.tlb,
-        }
+        return dict(vars(self))
+
+    @classmethod
+    def from_dict(cls, doc):
+        """The breakdown :meth:`as_dict` returned ``doc`` for."""
+        bd = cls()
+        if not isinstance(doc, dict) or doc.keys() != vars(bd).keys():
+            raise ValueError(f"not an energy breakdown: {doc!r}")
+        vars(bd).update(doc)
+        return bd
 
 
 class PowerModel:

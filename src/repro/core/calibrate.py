@@ -39,7 +39,6 @@ error (Section III-F).  This module cashes that in for our sweeps:
 import hashlib
 import json
 import os
-import tempfile
 import time
 
 from repro.aladdin.accelerator import Accelerator, make_scratchpad
@@ -55,6 +54,7 @@ from repro.aladdin.power import PowerModel
 from repro.core.analytic import phase_terms
 from repro.core.config import SoCConfig
 from repro.core.metrics import RunResult
+from repro.core.sweeppool import write_atomic
 from repro.core.validation import relative_error
 from repro.errors import CalibrationError
 from repro.units import (
@@ -667,19 +667,8 @@ class Calibration:
         # path_for hashes a default config; self covers a specific one.
         path = os.path.join(cache_dir, CALIBRATION_DIR,
                             f"{self.workload}-{self.cfg_hash}.json")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(self.to_json(), f, indent=2, sort_keys=True)
-                f.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, json.dumps(self.to_json(), indent=2,
+                                      sort_keys=True) + "\n")
         return path
 
     @classmethod

@@ -59,6 +59,13 @@ def _boolean(name, value):
 class DesignPoint:
     """One accelerator microarchitecture configuration."""
 
+    #: Every field, in constructor order: the one list behind
+    #: :meth:`to_record`, :meth:`from_record` and :meth:`replace`.
+    FIELDS = ("lanes", "partitions", "mem_interface", "pipelined_dma",
+              "dma_triggered_compute", "double_buffer", "cache_size_kb",
+              "cache_line", "cache_ports", "cache_assoc", "prefetcher",
+              "spad_ports", "perfect_memory", "pipelining", "ii")
+
     def __init__(self, lanes=4, partitions=4, mem_interface="dma",
                  pipelined_dma=True, dma_triggered_compute=True,
                  double_buffer=False, cache_size_kb=8, cache_line=64,
@@ -126,22 +133,28 @@ class DesignPoint:
     def is_dma(self):
         return self.mem_interface == "dma"
 
+    def to_record(self):
+        """Every field as a plain JSON-able dict, inverted exactly by
+        :meth:`from_record`."""
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    @classmethod
+    def from_record(cls, doc):
+        """The design a record describes; fields it omits keep their
+        defaults, and a non-dict or an unknown field raises
+        :class:`ConfigError`."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"design must be a JSON object, got {doc!r}")
+        unknown = sorted(set(doc).difference(cls.FIELDS))
+        if unknown:
+            raise ConfigError(
+                f"unknown design field(s) {unknown}; valid fields: "
+                f"{sorted(cls.FIELDS)}")
+        return cls(**doc)
+
     def replace(self, **kwargs):
         """A copy with some fields changed."""
-        fields = dict(
-            lanes=self.lanes, partitions=self.partitions,
-            mem_interface=self.mem_interface,
-            pipelined_dma=self.pipelined_dma,
-            dma_triggered_compute=self.dma_triggered_compute,
-            double_buffer=self.double_buffer,
-            pipelining=self.pipelining, ii=self.ii,
-            cache_size_kb=self.cache_size_kb, cache_line=self.cache_line,
-            cache_ports=self.cache_ports, cache_assoc=self.cache_assoc,
-            prefetcher=self.prefetcher, spad_ports=self.spad_ports,
-            perfect_memory=self.perfect_memory,
-        )
-        fields.update(kwargs)
-        return DesignPoint(**fields)
+        return DesignPoint(**{**self.to_record(), **kwargs})
 
     def key(self):
         """Hashable identity (used by sweeps and caches)."""

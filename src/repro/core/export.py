@@ -1,9 +1,9 @@
 """Result export: JSON and CSV serialization of run results and sweeps.
 
-Design-space studies end in plots; this module flattens
-:class:`~repro.core.metrics.RunResult` objects into plain records that any
-plotting stack can consume, and writes JSON/CSV files for the figure data
-the benchmark harness regenerates.
+Design-space studies end in plots; this module extends each
+:class:`~repro.core.metrics.RunResult`'s lossless record with the derived
+read-outs any plotting stack wants, and writes JSON/CSV files for the
+figure data the benchmark harness regenerates.
 """
 
 import csv
@@ -19,47 +19,14 @@ CSV_FIELDS = [
 ]
 
 
-def design_record(design):
-    """Flatten a DesignPoint into plain JSON-able fields."""
-    return {
-        "mem_interface": design.mem_interface,
-        "lanes": design.lanes,
-        "partitions": design.partitions,
-        "pipelined_dma": design.pipelined_dma,
-        "dma_triggered_compute": design.dma_triggered_compute,
-        "double_buffer": design.double_buffer,
-        "pipelining": design.pipelining,
-        "ii": design.ii,
-        "cache_size_kb": design.cache_size_kb,
-        "cache_line": design.cache_line,
-        "cache_ports": design.cache_ports,
-        "cache_assoc": design.cache_assoc,
-        "prefetcher": design.prefetcher,
-        "spad_ports": design.spad_ports,
-    }
-
-
 def result_record(result):
-    """Flatten a RunResult into plain JSON-able fields."""
-    frac = result.breakdown_fractions()
-    record = {
-        "workload": result.workload,
-        "time_us": result.time_us,
-        "accel_cycles": result.accel_cycles,
-        "power_mw": result.power_mw,
-        "energy_pj": result.energy_pj,
-        "edp_js": result.edp,
-        "area_mm2": result.area_mm2,
-        "flush_only_frac": frac["flush_only"],
-        "dma_flush_frac": frac["dma_flush"],
-        "compute_dma_frac": frac["compute_dma"],
-        "compute_only_frac": frac["compute_only"],
-        "other_frac": frac["other"],
-        "energy_breakdown_pj": (None if result.energy is None
-                                else result.energy.as_dict()),
-        "stats": {k: v for k, v in result.stats.items() if v is not None},
-    }
-    record.update(design_record(result.design))
+    """``result.to_record()`` plus the derived read-outs plots want:
+    time, power, EDP, area and each cycle class's fraction of runtime."""
+    record = result.to_record()
+    record.update(time_us=result.time_us, power_mw=result.power_mw,
+                  edp_js=result.edp, area_mm2=result.area_mm2)
+    for name, frac in result.breakdown_fractions().items():
+        record[name + "_frac"] = frac
     return record
 
 
@@ -81,9 +48,3 @@ def results_to_csv(results, path):
         writer.writeheader()
         for result in results:
             writer.writerow(result_record(result))
-
-
-def load_json(path):
-    """Round-trip helper: read records back as plain dicts."""
-    with open(path) as f:
-        return json.load(f)

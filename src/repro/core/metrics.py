@@ -11,6 +11,10 @@ Implements the paper's two runtime decompositions:
   (:func:`repro.core.figures` drives those).
 """
 
+from repro.aladdin.area import AreaBreakdown
+from repro.aladdin.power import EnergyBreakdown
+from repro.core.config import DesignPoint
+from repro.errors import ConfigError
 from repro.sim.stats import intersect, merge_intervals, subtract, total_covered
 from repro.units import edp, power_mw, ticks_to_us
 
@@ -52,6 +56,12 @@ class RunResult:
     #: ``"fast"`` (see :class:`repro.core.calibrate.FastResult`).
     fidelity = "exact"
 
+    #: The measurement fields of :meth:`to_record`; the rest of a record
+    #: is the design's :meth:`~repro.core.config.DesignPoint.to_record`.
+    MEASURED = ("workload", "total_ticks", "accel_cycles", "breakdown",
+                "energy_pj", "energy_breakdown_pj", "area_breakdown_um2",
+                "stats", "fidelity")
+
     def __init__(self, workload, design, total_ticks, accel_cycles,
                  breakdown, energy, stats=None, area=None, energy_pj=None):
         self.workload = workload
@@ -88,6 +98,51 @@ class RunResult:
         (Figure 2a reports ~25% for md-knn at 16 lanes, baseline DMA)."""
         frac = self.breakdown_fractions()
         return frac["compute_dma"] + frac["compute_only"]
+
+    def to_record(self):
+        """The whole result as one flat, JSON-able dict: the design's
+        fields beside the measurements, inverted exactly by
+        :meth:`from_record`."""
+        record = self.design.to_record()
+        record.update(
+            workload=self.workload,
+            total_ticks=self.total_ticks,
+            accel_cycles=self.accel_cycles,
+            breakdown=dict(self.breakdown),
+            energy_pj=self.energy_pj,
+            energy_breakdown_pj=(None if self.energy is None
+                                 else self.energy.as_dict()),
+            area_breakdown_um2=(None if self.area is None
+                                else self.area.as_dict()),
+            stats=dict(self.stats),
+            fidelity=self.fidelity,
+        )
+        return record
+
+    @classmethod
+    def from_record(cls, doc):
+        """The result :meth:`to_record` returned ``doc`` for, rebuilt
+        through the constructor so the derived power, EDP and area come
+        out bit-identical.  A record of another fidelity, or one missing
+        or adding a field, raises :class:`ConfigError`."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"result must be a JSON object, got {doc!r}")
+        fields = dict(doc)
+        try:
+            got = {name: fields.pop(name) for name in cls.MEASURED}
+        except KeyError as exc:
+            raise ConfigError(f"result record lacks {exc}") from None
+        if got["fidelity"] != cls.fidelity:
+            raise ConfigError(
+                f"a {got['fidelity']!r} record is not a {cls.__name__}")
+        energy, area = got["energy_breakdown_pj"], got["area_breakdown_um2"]
+        return cls(
+            got["workload"], DesignPoint.from_record(fields),
+            got["total_ticks"], got["accel_cycles"], got["breakdown"],
+            None if energy is None else EnergyBreakdown.from_dict(energy),
+            stats=got["stats"],
+            area=None if area is None else AreaBreakdown.from_dict(area),
+            energy_pj=got["energy_pj"])
 
     def summary(self):
         """One-line human-readable summary."""

@@ -43,6 +43,7 @@ Typical use::
 """
 
 from repro.core.config import DesignPoint, SoCConfig
+from repro.core.export import result_record
 from repro.core.soc import (
     INPUT_KINDS,
     OUTPUT_KINDS,
@@ -455,12 +456,7 @@ class PipelineResult:
             "double_buffer": self.double_buffer,
             "depth": self.depth,
             "makespan_ticks": self.makespan_ticks,
-            "stages": [
-                {"workload": r.workload, "total_ticks": r.total_ticks,
-                 "time_us": r.time_us, "power_mw": r.power_mw,
-                 "breakdown": dict(r.breakdown)}
-                for r in self.stage_results
-            ],
+            "stages": [result_record(r) for r in self.stage_results],
             "links": self.links,
         }
 

@@ -208,7 +208,7 @@ def _diagnostic_evaluate(workload, profiler, dump_stats, check):
             task, profiler=profiler, registry=registry, check=check)
         if registry is not None:
             payload = registry.to_json()
-            payload["design"] = repr(task[2])
+            payload["design"] = task[2].to_record()
             path = os.path.join(dump_stats, f"{workload}-{index:04d}.json")
             with open(path, "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ sweeps run as fast as the hardware allows:
 
 * **Memoization** — an on-disk :class:`SweepCache` keyed by a stable
   SHA-256 hash of ``(workload, DesignPoint, SoCConfig)`` stores every
-  evaluated :class:`~repro.core.metrics.RunResult` (pickled).  Repeated
+  evaluated :class:`~repro.core.metrics.RunResult` (as JSON).  Repeated
   figure or benchmark runs pay each design point exactly once; a warm
   cache evaluates zero new points.  Both the cache's reads and the keys
   (:func:`keyed_payloads`) are also memoized in process, within fixed
@@ -44,21 +44,22 @@ sweeps run as fast as the hardware allows:
 
 Cache format (see :data:`CACHE_FORMAT_VERSION`):
 
-``<cache_dir>/<key[:2]>/<key>.pkl`` where ``key`` is the hex SHA-256 of
+``<cache_dir>/<key[:2]>/<key>.json`` where ``key`` is the hex SHA-256 of
 the canonical JSON ``{"version", "workload", "design", "config"}``
-payload; ``design`` and ``config`` are the *canonicalized* ``__dict__``
-of the :class:`DesignPoint` / :class:`SoCConfig` (see
+payload; ``design`` and ``config`` are the *canonicalized* fields of the
+:class:`DesignPoint` (its ``to_record()``) and :class:`SoCConfig` (see
 :func:`canonical_design_fields`), so any parameter change that can
 influence the simulation — including ones not on the sweep grid —
 invalidates the entry, while two clients describing the same point
 differently (``8`` vs ``8.0``, a DMA design dragging along unused cache
-geometry) hash identically.  Each file pickles ``{"key": payload,
-"result": RunResult}``; the embedded payload guards against hash
-collisions and lets tooling inspect entries without re-deriving keys
-(entries written without a payload skip the guard).  Corrupt or
-unreadable entries are treated as misses and rewritten.  Failed points
-are never cached, so a resumed sweep re-evaluates exactly the missing
-and failed points.
+geometry) hash identically.  Each file is the JSON object ``{"key":
+payload, "result": RunResult.to_record()}``; the embedded payload guards
+against hash collisions and lets tooling inspect entries without
+re-deriving keys (entries written without a payload skip the guard).
+Corrupt or unreadable entries, and entries
+:meth:`~repro.core.metrics.RunResult.from_record` refuses, are treated
+as misses and rewritten.  Failed points are never cached, so a resumed
+sweep re-evaluates exactly the missing and failed points.
 
 Where the pending points *run* follows one dispatch rule (see
 :func:`run_sweep_pool`): the warm worker pool when the sweep asks for
@@ -68,6 +69,7 @@ callbacks, so they are bit-identical.
 """
 
 import atexit
+import glob
 import hashlib
 import json
 import math
@@ -89,16 +91,17 @@ except ImportError:  # pragma: no cover - not on this platform
     resource = None
 
 from repro.core.config import DesignPoint, SoCConfig
+from repro.core.metrics import RunResult
 from repro.core.soc import run_design
-from repro.errors import SweepError
+from repro.errors import ConfigError, SweepError
 
 #: Bump when the simulator's timing/energy models change in ways that make
 #: previously cached RunResults stale.  v2: canonicalized key payloads
 #: (numeric normalization + interface-irrelevant field masking).
 #: v3: the boolean loop-pipelining flag replaced by the
 #: ``pipelining``/``ii`` fields.  Dropping the boolean's constructor
-#: spelling later needed no bump: keys hash ``DesignPoint.__dict__``,
-#: which has held only ``pipelining`` and ``ii`` since v3, so warm result
+#: spelling later needed no bump: keys hash every ``DesignPoint`` field,
+#: which have held only ``pipelining`` and ``ii`` since v3, so warm result
 #: stores stay valid.
 CACHE_FORMAT_VERSION = 3
 
@@ -122,7 +125,7 @@ DMA_IRRELEVANT_FIELDS = ("cache_size_kb", "cache_line", "cache_ports",
 CACHE_IRRELEVANT_FIELDS = ("pipelined_dma", "dma_triggered_compute",
                            "double_buffer")
 
-_DESIGN_DEFAULTS = None
+_DESIGN_DEFAULTS = DesignPoint().to_record()
 
 
 def _canon_value(value):
@@ -136,23 +139,19 @@ def _canon_value(value):
 def canonical_design_fields(design):
     """The hashed identity of a DesignPoint: complete, canonical fields.
 
-    Starts from the full ``__dict__`` (so fields off the sweep grid still
-    invalidate), then (1) normalizes numerics so ``8`` and ``8.0``
-    serialize identically and (2) masks the fields the selected memory
-    interface provably ignores to their defaults — two non-canonical
-    descriptions of the same design point must hash identically, or
-    concurrent clients pay double evaluation for nothing.
+    Starts from the full record (:meth:`DesignPoint.to_record`, so fields
+    off the sweep grid still invalidate), then (1) normalizes numerics so
+    ``8`` and ``8.0`` serialize identically and (2) masks the fields the
+    selected memory interface provably ignores to their defaults — two
+    non-canonical descriptions of the same design point must hash
+    identically, or concurrent clients pay double evaluation for nothing.
     """
-    global _DESIGN_DEFAULTS
-    if _DESIGN_DEFAULTS is None:
-        _DESIGN_DEFAULTS = dict(DesignPoint().__dict__)
     fields = {name: _canon_value(value)
-              for name, value in design.__dict__.items()}
+              for name, value in design.to_record().items()}
     masked = (DMA_IRRELEVANT_FIELDS if design.is_dma
               else CACHE_IRRELEVANT_FIELDS)
     for name in masked:
-        if name in fields:
-            fields[name] = _canon_value(_DESIGN_DEFAULTS[name])
+        fields[name] = _canon_value(_DESIGN_DEFAULTS[name])
     return fields
 
 
@@ -230,15 +229,14 @@ _KEYS = _Memo(KEY_MEMO_ENTRIES)     # (workload, design id, cfg id) -> keyed
 _CONFIGS = _Memo(KEY_MEMO_ENTRIES)  # cfg id -> canonical config fields
 
 
-def _raw_identity(obj):
-    """Hashable identity of ``obj``'s raw fields, or None.
+def _raw_identity(obj, fields):
+    """Hashable identity of ``obj``'s raw ``fields``, or None.
 
     Each value travels with its exact type, so values that compare equal
     but canonicalize differently (``True`` vs ``1``) stay apart.  Only
     plain scalars qualify: a container could hide such a pair inside
     (``(1,) == (True,)``), so an object holding one is not memoized.
     """
-    fields = obj.__dict__
     types = tuple(map(type, fields.values()))
     if not _MEMO_SCALARS.issuperset(types):
         return None
@@ -266,10 +264,10 @@ def keyed_payloads(workload, designs, cfg=None):
     memo: callers must not mutate them.
     """
     cfg = cfg or SoCConfig()
-    cfg_id = _raw_identity(cfg)
+    cfg_id = _raw_identity(cfg, cfg.__dict__)
     out = []
     for design in designs:
-        design_id = _raw_identity(design)
+        design_id = _raw_identity(design, design.to_record())
         memo_key = (workload, design_id, cfg_id)
         keyed = _KEYS.get(memo_key)
         if keyed is None:
@@ -288,20 +286,38 @@ def keyed_payloads(workload, designs, cfg=None):
 
 # -- the on-disk cache --------------------------------------------------------
 
+def write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``,
+    so a concurrent reader sees the old file or the new one, never a torn
+    one."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 #: Sweep size from which the cache probe switches to the batch path
 #: (one directory scan via the key index) instead of per-point probes.
 _BATCH_PROBE_MIN = 64
 
 
 #: Bound of each :class:`SweepCache`'s in-process memo.  A decoded
-#: entry costs about 8 KB against 1.7 KB pickled on disk (``aes-aes``
-#: quick grid: the ``RunResult`` about 3.6 KB, its stored payload and
-#: wrapper the rest), so a full memo holds about 8 MB.
+#: entry (``RunResult`` plus stored payload) costs about 7.5 KB against
+#: 2.1 KB of JSON on disk (``aes-aes`` quick grid, 21 entries), so a
+#: full memo holds about 8 MB.
 STORE_MEMO_ENTRIES = 1024
 
 
 class SweepCache:
-    """Pickle-per-point result cache under one root directory.
+    """JSON-per-point result cache under one root directory.
 
     Writes are atomic (temp file + ``os.replace``) so concurrent sweeps
     sharing a cache directory never observe torn entries; unreadable or
@@ -336,7 +352,11 @@ class SweepCache:
         os.makedirs(root, exist_ok=True)
 
     def _path(self, key):
-        return os.path.join(self.root, key[:2], key + ".pkl")
+        return os.path.join(self.root, key[:2], key + ".json")
+
+    def _entries(self):
+        """Every entry's path (manifests and calibrations share the root)."""
+        return glob.glob(os.path.join(glob.escape(self.root), "??", "*.json"))
 
     @property
     def reads(self):
@@ -349,11 +369,8 @@ class SweepCache:
         """The set of cached keys, scanned lazily from the directory."""
         index = self._index
         if index is None:
-            index = set()
-            for _dirpath, _subdirs, files in os.walk(self.root):
-                for name in files:
-                    if name.endswith(".pkl"):
-                        index.add(name[:-4])
+            index = {os.path.basename(path)[:-len(".json")]
+                     for path in self._entries()}
             self._index = index
         return index
 
@@ -397,12 +414,9 @@ class SweepCache:
         if entry is None:
             try:
                 with open(self._path(key), "rb") as f:
-                    doc = pickle.load(f)
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError):
-                return None
-            entry = (doc.get("key"), doc.get("result"))
-            if entry[1] is None:
+                    doc = json.load(f)
+                entry = (doc["key"], RunResult.from_record(doc["result"]))
+            except (OSError, ValueError, TypeError, KeyError, ConfigError):
                 return None
             self._memo.put(key, entry)
         stored, result = entry
@@ -412,41 +426,23 @@ class SweepCache:
 
     def put(self, key, result, payload=None):
         """Atomically store ``result`` under ``key``."""
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump({"key": payload, "result": result}, f,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self._path(key), json.dumps(
+            {"key": payload, "result": result.to_record()}))
         self._memo.discard(key)
         index = self._index
         if index is not None:
             index.add(key)
 
     def __len__(self):
-        count = 0
-        for _dir, _subdirs, files in os.walk(self.root):
-            count += sum(1 for name in files if name.endswith(".pkl"))
-        return count
+        return len(self._entries())
 
     def clear(self):
         """Drop every cached entry and the memo (keeps the directory)."""
-        for dirpath, _subdirs, files in os.walk(self.root):
-            for name in files:
-                if name.endswith(".pkl"):
-                    try:
-                        os.unlink(os.path.join(dirpath, name))
-                    except FileNotFoundError:
-                        pass  # another clear got there first
+        for path in self._entries():
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass  # another clear got there first
         self._memo.clear()
         self._index = None
 
@@ -624,7 +620,7 @@ class FailedPoint:
     def as_dict(self):
         return {
             "workload": self.workload,
-            "design": repr(self.design),
+            "design": self.design.to_record(),
             "error": self.error,
             "attempts": self.attempts,
             "kind": self.kind,
@@ -741,7 +737,7 @@ class SweepManifest:
             {
                 "index": i,
                 "key": keys[i] if keys else None,
-                "design": repr(design),
+                "design": design.to_record(),
                 "status": "pending",
                 "attempts": 0,
                 "kind": None,
@@ -780,21 +776,9 @@ class SweepManifest:
         }
 
     def save(self):
-        """Atomically write the manifest (temp file + ``os.replace``)."""
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path),
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(self.as_dict(), f, indent=2, sort_keys=True)
-                f.write("\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Atomically write the manifest."""
+        write_atomic(self.path, json.dumps(self.as_dict(), indent=2,
+                                           sort_keys=True) + "\n")
 
     @classmethod
     def peek(cls, cache_dir, workload, designs, cfg=None):

@@ -70,7 +70,8 @@ class ServiceClient:
         if fidelity is not None:
             payload["fidelity"] = fidelity
         if designs is not None:
-            payload["designs"] = [self._design_doc(d) for d in designs]
+            payload["designs"] = [
+                d if isinstance(d, dict) else d.to_record() for d in designs]
         return self._request("/query", payload)
 
     def submit_kernel(self, source, filename=None):
@@ -88,13 +89,8 @@ class ServiceClient:
     def sweep(self, workload, designs, fidelity=None):
         """POST /sweep — evaluate points (hit / join / dispatch)."""
         payload = {"workload": workload,
-                   "designs": [self._design_doc(d) for d in designs]}
+                   "designs": [d if isinstance(d, dict) else d.to_record()
+                               for d in designs]}
         if fidelity is not None:
             payload["fidelity"] = fidelity
         return self._request("/sweep", payload)
-
-    @staticmethod
-    def _design_doc(design):
-        if isinstance(design, dict):
-            return design
-        return dict(design.__dict__)

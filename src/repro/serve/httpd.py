@@ -32,6 +32,7 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.config import DesignPoint
+from repro.core.export import result_record
 from repro.errors import (
     CalibrationError,
     ConfigError,
@@ -39,22 +40,6 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.workloads.registry import workload_names, workload_source
-
-#: The exact DesignPoint constructor surface, derived from the class so
-#: the whitelist can never drift from it.
-DESIGN_FIELDS = frozenset(DesignPoint().__dict__)
-
-
-def design_from_json(doc):
-    """Build a DesignPoint from a JSON dict, rejecting unknown fields."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"design must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - DESIGN_FIELDS)
-    if unknown:
-        raise ValueError(
-            f"unknown design field(s) {unknown}; valid fields: "
-            f"{sorted(DESIGN_FIELDS)}")
-    return DesignPoint(**doc)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -141,7 +126,7 @@ class _Handler(BaseHTTPRequestHandler):
             workload = self._workload(doc)
             designs = doc.get("designs")
             if designs is not None:
-                designs = [design_from_json(d) for d in designs]
+                designs = [DesignPoint.from_record(d) for d in designs]
             if self.path == "/query":
                 response = self.service.query(
                     doc.get("kind", "sweep"), workload, designs=designs,
@@ -161,7 +146,7 @@ class _Handler(BaseHTTPRequestHandler):
                         records.append({"failed": True,
                                         **result.as_dict()})
                     else:
-                        records.append(self.service._record(result))
+                        records.append(result_record(result))
                 response = {"workload": workload, "results": records,
                             "service": report}
         except (ValueError, KeyError, TypeError, CalibrationError,

@@ -287,7 +287,8 @@ class SweepService:
         from repro.core.calibrate import Calibration, config_hash
         # Keyed by the config's raw fields, so a repeated lookup hashes
         # nothing; configs with non-scalar fields fall back to the hash.
-        cache_key = (workload, _raw_identity(cfg) or config_hash(cfg))
+        cache_key = (workload,
+                     _raw_identity(cfg, cfg.__dict__) or config_hash(cfg))
         if cache_key not in self._calibrations:
             self._calibrations[cache_key] = Calibration.load(
                 self.cache_dir, workload, cfg)
@@ -489,7 +490,7 @@ class SweepService:
         points were ``missing`` instead of simulating them.
 
         Returns a JSON-able dict: the reduction (records via
-        :func:`repro.core.export.result_record`, each tagged with its
+        :func:`repro.core.export.result_record`, each carrying its
         ``fidelity``) plus the provenance report.
         """
         if kind not in ("sweep", "pareto", "edp", "figure"):
@@ -529,15 +530,15 @@ class SweepService:
             "service": report,
         }
         if kind == "sweep":
-            response["results"] = [self._record(r) for r in pool]
+            response["results"] = [result_record(r) for r in pool]
             return response
         if kind == "pareto":
-            response["frontier"] = [self._record(r)
+            response["frontier"] = [result_record(r)
                                     for r in pareto_frontier(pool)]
-            response["edp_optimal"] = (self._record(edp_optimal(pool))
+            response["edp_optimal"] = (result_record(edp_optimal(pool))
                                        if pool else None)
         elif kind == "edp":
-            response["edp_optimal"] = (self._record(edp_optimal(pool))
+            response["edp_optimal"] = (result_record(edp_optimal(pool))
                                        if pool else None)
         else:  # figure: Fig-8 shape, one frontier per memory interface
             response["interfaces"] = {}
@@ -545,9 +546,9 @@ class SweepService:
                 sub = [r for r in pool
                        if r.design.mem_interface == interface]
                 response["interfaces"][interface] = {
-                    "frontier": [self._record(r)
+                    "frontier": [result_record(r)
                                  for r in pareto_frontier(sub)],
-                    "edp_optimal": (self._record(edp_optimal(sub))
+                    "edp_optimal": (result_record(edp_optimal(sub))
                                     if sub else None),
                 }
         return response
@@ -562,12 +563,6 @@ class SweepService:
             return dma_design_space(density) + cache_design_space(density)
         raise ValueError(
             f'space must be "dma", "cache" or "both", got {space!r}')
-
-    @staticmethod
-    def _record(result):
-        record = result_record(result)
-        record["fidelity"] = getattr(result, "fidelity", "exact")
-        return record
 
     def reg_stats(self, registry, prefix="serve"):
         """Mirror service + engine counters into an obs stats registry."""

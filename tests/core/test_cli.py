@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, design_from_args, main
+from repro.core.sweep import dma_design_space
 
 
 def run_cli(argv):
@@ -192,7 +193,7 @@ class TestCommands:
         assert dma_files[0] == "aes-aes-0000.json"
         doc = json.loads((dma_dir / dma_files[0]).read_text())
         assert doc["soc.sim.events"] > 0
-        assert doc["design"].startswith("DesignPoint(")
+        assert doc["design"] == dma_design_space("quick")[0].to_record()
         cache_doc = json.loads(
             (cache_dir / sorted(os.listdir(cache_dir))[0]).read_text())
         assert "accel0.tlb.misses" in cache_doc

@@ -1,5 +1,7 @@
 """Design points, SoC configuration, and the Figure 3 parameter table."""
 
+import inspect
+
 import pytest
 
 from repro.core.config import PARAMETER_TABLE, DesignPoint, SoCConfig
@@ -81,6 +83,21 @@ class TestDesignPoint:
     def test_repr_readable(self):
         assert "dma" in repr(DesignPoint())
         assert "cache" in repr(DesignPoint(mem_interface="cache"))
+
+    def test_fields_are_the_constructor_parameters(self):
+        params = inspect.signature(DesignPoint).parameters
+        assert DesignPoint.FIELDS == tuple(params)
+
+    def test_record_round_trips_every_field(self):
+        d = DesignPoint(mem_interface="cache", perfect_memory=True,
+                        spad_ports=2, pipelining="modulo", ii=4)
+        record = d.to_record()
+        assert tuple(record) == DesignPoint.FIELDS
+        assert DesignPoint.from_record(record).to_record() == record
+
+    def test_record_omissions_keep_defaults(self):
+        assert DesignPoint.from_record({"lanes": 8}).to_record() == \
+            DesignPoint(lanes=8).to_record()
 
 
 INTEGER_FIELDS = ("lanes", "partitions", "cache_size_kb", "cache_line",

@@ -8,8 +8,6 @@ import pytest
 from repro.core.config import DesignPoint
 from repro.core.export import (
     CSV_FIELDS,
-    design_record,
-    load_json,
     result_record,
     results_to_csv,
     results_to_json,
@@ -28,7 +26,7 @@ def results():
 
 class TestRecords:
     def test_design_record_roundtrips_through_json(self):
-        rec = design_record(DesignPoint(lanes=8, mem_interface="cache"))
+        rec = DesignPoint(lanes=8, mem_interface="cache").to_record()
         assert json.loads(json.dumps(rec)) == rec
         assert rec["lanes"] == 8
 
@@ -52,8 +50,10 @@ class TestFiles:
     def test_json_file_roundtrip(self, results, tmp_path):
         path = tmp_path / "out.json"
         text = results_to_json(results, path)
-        assert json.loads(text) == load_json(path)
-        assert len(load_json(path)) == 2
+        with open(path) as f:
+            records = json.load(f)
+        assert json.loads(text) == records
+        assert len(records) == 2
 
     def test_csv_file(self, results, tmp_path):
         path = tmp_path / "out.csv"

@@ -1,10 +1,14 @@
 """Cycle-class breakdowns and run metrics."""
 
+import json
+
 import pytest
 
+from repro.aladdin.area import AreaBreakdown
 from repro.aladdin.power import EnergyBreakdown
 from repro.core.config import DesignPoint
 from repro.core.metrics import RunResult, classify_breakdown
+from repro.errors import ConfigError
 
 
 class TestClassifyBreakdown:
@@ -76,3 +80,54 @@ class TestRunResult:
     def test_summary_string(self):
         s = make_result().summary()
         assert "toy" in s and "edp" in s
+
+
+class TestRecords:
+    def test_record_round_trips_through_json(self):
+        r = make_result()
+        r.area = AreaBreakdown()
+        r.area.spad = 1234.5
+        r.stats = {"hits": 3, "miss_rate": None}
+        record = json.loads(json.dumps(r.to_record()))
+        back = RunResult.from_record(record)
+        assert back.to_record() == r.to_record()
+        assert (back.power_mw, back.edp, back.area_mm2) == \
+            (r.power_mw, r.edp, r.area_mm2)
+        assert back.stats == {"hits": 3, "miss_rate": None}
+
+    def test_record_is_flat_design_plus_measurements(self):
+        record = make_result().to_record()
+        assert set(record) == set(DesignPoint.FIELDS) | set(
+            RunResult.MEASURED)
+        assert record["fidelity"] == "exact"
+        assert record["area_breakdown_um2"] is None
+
+    def test_total_only_energy_survives(self):
+        r = RunResult("toy", DesignPoint(), 100, 1, {"other": 100}, None,
+                      energy_pj=7.5)
+        back = RunResult.from_record(r.to_record())
+        assert back.energy is None and back.energy_pj == 7.5
+
+    @pytest.mark.parametrize("damage", [
+        lambda rec: rec.pop("stats"),
+        lambda rec: rec.update(warp_speed=9),
+        lambda rec: rec.update(fidelity="fast"),
+        lambda rec: rec["energy_breakdown_pj"].update(extra=1.0),
+    ], ids=["missing-field", "unknown-field", "other-fidelity",
+            "bad-energy-breakdown"])
+    def test_bad_records_rejected(self, damage):
+        record = make_result().to_record()
+        damage(record)
+        with pytest.raises((ConfigError, ValueError)):
+            RunResult.from_record(record)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            RunResult.from_record(["not", "a", "record"])
+
+    @pytest.mark.parametrize("cls", [EnergyBreakdown, AreaBreakdown])
+    def test_breakdowns_invert_as_dict(self, cls):
+        bd = cls()
+        for i, name in enumerate(bd.as_dict()):
+            setattr(bd, name, i + 0.5)
+        assert cls.from_dict(bd.as_dict()).as_dict() == bd.as_dict()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.calibrate import _combo_key, design_class
 from repro.core.config import DesignPoint
-from repro.core.export import CSV_FIELDS, design_record
+from repro.core.export import CSV_FIELDS
 from repro.core.sweep import ii_design_space
 from repro.errors import ConfigError
 
@@ -113,7 +113,7 @@ class TestExportFields:
         assert "loop_pipelining" not in CSV_FIELDS
 
     def test_design_record_round_trips_modes(self):
-        rec = design_record(DesignPoint(pipelining="modulo", ii=4))
+        rec = DesignPoint(pipelining="modulo", ii=4).to_record()
         assert rec["pipelining"] == "modulo"
         assert rec["ii"] == 4
         assert "loop_pipelining" not in rec
@@ -136,10 +136,9 @@ class TestCalibrationClasses:
 
 class TestServeAndCli:
     def test_httpd_rejects_legacy_spelling(self):
-        from repro.serve.httpd import design_from_json
-        with pytest.raises(ValueError, match="unknown design field"):
-            design_from_json({"lanes": 2, "loop_pipelining": True})
-        modern = design_from_json(
+        with pytest.raises(ConfigError, match="unknown design field"):
+            DesignPoint.from_record({"lanes": 2, "loop_pipelining": True})
+        modern = DesignPoint.from_record(
             {"lanes": 2, "pipelining": "modulo", "ii": 4})
         assert (modern.pipelining, modern.ii) == ("modulo", 4)
 

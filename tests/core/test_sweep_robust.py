@@ -82,6 +82,7 @@ class TestFailedPoint:
         assert fp.is_failure
         d = fp.as_dict()
         assert d["kind"] == "timeout" and d["attempts"] == 3
+        assert d["design"] == quick_designs(1)[0].to_record()
         assert "timeout" in repr(fp)
 
     def test_partition(self):
@@ -269,6 +270,22 @@ class TestManifest:
         doc = SweepManifest.peek(str(tmp_path), WORKLOAD, designs)
         assert doc["done"] == 1 and doc["failed"] == 1
         assert doc["entries"][1]["kind"] == "timeout"
+
+    def test_failed_entries_name_their_design(self, tmp_path, monkeypatch):
+        # Regression: entries named the design by repr, which for a DMA
+        # design omits the pipelining mode, so these two read the same.
+        base = quick_designs(1)[0]
+        designs = [base.replace(pipelining="off"),
+                   base.replace(pipelining="modulo")]
+        monkeypatch.setenv(ENV_FAULT, "raise@0,raise@1")
+        run_sweep_pool(WORKLOAD, designs, cache_dir=str(tmp_path),
+                       on_error="collect")
+        entries = SweepManifest.peek(str(tmp_path), WORKLOAD,
+                                     designs)["entries"]
+        assert [e["status"] for e in entries] == ["failed", "failed"]
+        assert entries[0]["design"] != entries[1]["design"]
+        assert [e["design"] for e in entries] == \
+            [d.to_record() for d in designs]
 
     def test_peek_missing_is_none(self, tmp_path):
         assert SweepManifest.peek(str(tmp_path), WORKLOAD,

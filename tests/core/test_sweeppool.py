@@ -1,7 +1,7 @@
 """Parallel, memoized sweep engine."""
 
+import json
 import os
-import pickle
 import subprocess
 import sys
 
@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.config import DesignPoint, SoCConfig
 from repro.core.export import results_to_json
+from repro.core.metrics import RunResult
 from repro.core.sweep import dma_design_space, run_sweep
 from repro.core.sweeppool import (
     SweepCache,
@@ -25,6 +26,21 @@ WORKLOAD = "aes-aes"
 
 def quick_designs(n=3):
     return dma_design_space("quick")[:n]
+
+
+def stored(n):
+    """A minimal storable RunResult, told apart by its ``total_ticks``."""
+    return RunResult(WORKLOAD, DesignPoint(), n, n, {}, None, energy_pj=1.0)
+
+
+def ticks(result):
+    """The ``total_ticks`` of a result from the store (None on a miss)."""
+    return None if result is None else result.total_ticks
+
+
+def ticks_of(hits):
+    """``{key: total_ticks}`` of a :meth:`SweepCache.get_many` answer."""
+    return {key: result.total_ticks for key, result in hits.items()}
 
 
 class TestSweepKey:
@@ -99,8 +115,8 @@ class TestSweepKey:
 class TestSweepCache:
     def test_roundtrip(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put("ab" + "0" * 62, {"x": 1}, payload={"p": 1})
-        assert cache.get("ab" + "0" * 62, payload={"p": 1}) == {"x": 1}
+        cache.put("ab" + "0" * 62, stored(1), payload={"p": 1})
+        assert ticks(cache.get("ab" + "0" * 62, payload={"p": 1})) == 1
         assert len(cache) == 1
 
     def test_missing_key_is_none(self, tmp_path):
@@ -109,29 +125,78 @@ class TestSweepCache:
     def test_payload_mismatch_is_a_miss(self, tmp_path):
         cache = SweepCache(str(tmp_path))
         key = "ab" + "0" * 62
-        cache.put(key, 42, payload={"p": 1})
+        cache.put(key, stored(42), payload={"p": 1})
         assert cache.get(key, payload={"p": 2}) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = SweepCache(str(tmp_path))
         key = "ab" + "0" * 62
-        cache.put(key, 42, payload=None)
+        cache.put(key, stored(42), payload=None)
         path = cache._path(key)
         with open(path, "wb") as f:
-            f.write(b"not a pickle")
+            f.write(b"not json")
         assert cache.get(key) is None
+
+    def test_entry_is_plain_json(self, tmp_path):
+        cache = SweepCache(str(tmp_path))
+        key = "ab" + "0" * 62
+        cache.put(key, stored(7), payload={"p": 1})
+        assert cache._path(key) == os.path.join(str(tmp_path), "ab",
+                                                key + ".json")
+        with open(cache._path(key)) as f:
+            doc = json.load(f)
+        assert doc == {"key": {"p": 1}, "result": stored(7).to_record()}
+
+    @pytest.mark.parametrize("damage", ["invalid", "unknown-field",
+                                        "truncated"])
+    def test_bad_entry_is_a_miss(self, tmp_path, damage):
+        cache = SweepCache(str(tmp_path))
+        key = "ab" + "0" * 62
+        cache.put(key, stored(7), payload={"p": 1})
+        with open(cache._path(key)) as f:
+            text = f.read()
+        if damage == "invalid":
+            text = "{not json"
+        elif damage == "unknown-field":
+            doc = json.loads(text)
+            doc["result"]["warp_speed"] = 9
+            text = json.dumps(doc)
+        else:
+            text = text[:len(text) // 2]
+        with open(cache._path(key), "w") as f:
+            f.write(text)
+        fresh = SweepCache(str(tmp_path))
+        assert fresh.get(key, payload={"p": 1}) is None
+        assert fresh.get_many([key]) == {}
+        assert fresh.reads == 0
+
+    def test_only_shard_entries_count(self, tmp_path):
+        # Manifests and calibrations share the root; a store entry is a
+        # ``<key[:2]>/<key>.json`` file and nothing else.
+        cache = SweepCache(str(tmp_path))
+        key = "ab" + "0" * 62
+        cache.put(key, stored(1))
+        for name in ("manifests", "calibration"):
+            os.makedirs(tmp_path / name)
+            (tmp_path / name / ("cd" + "0" * 62 + ".json")).write_text("{}")
+        (tmp_path / "ab" / ("ef" + "0" * 62 + ".pkl")).write_bytes(b"old")
+        assert len(cache) == 1
+        assert SweepCache(str(tmp_path)).index() == {key}
+        cache.clear()
+        assert len(cache) == 0
+        assert (tmp_path / "manifests" / ("cd" + "0" * 62 + ".json")).exists()
 
     def test_clear(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put("ab" + "0" * 62, 1)
-        cache.put("cd" + "0" * 62, 2)
+        cache.put("ab" + "0" * 62, stored(1))
+        cache.put("cd" + "0" * 62, stored(2))
         cache.clear()
         assert len(cache) == 0
         assert cache.get("ab" + "0" * 62) is None
 
     def test_no_stray_tmp_files_after_put(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put("ab" + "0" * 62, 1)
+        cache.put("ab" + "0" * 62, stored(1))
         stray = [f for _d, _s, fs in os.walk(str(tmp_path))
                  for f in fs if f.endswith(".tmp")]
         assert stray == []
@@ -142,10 +207,10 @@ class TestSweepCache:
         # a payload mismatch, so the entry could never hit again.
         cache = SweepCache(str(tmp_path))
         key = "ab" + "0" * 62
-        cache.put(key, 42)
-        assert cache.get(key, payload={"p": 1}) == 42
-        assert cache.get(key, payload={"p": 1}) == 42  # stays a hit
-        assert cache.get(key) == 42
+        cache.put(key, stored(42))
+        assert ticks(cache.get(key, payload={"p": 1})) == 42
+        assert ticks(cache.get(key, payload={"p": 1})) == 42  # stays a hit
+        assert ticks(cache.get(key)) == 42
 
 
 class TestMemoization:
@@ -422,19 +487,19 @@ class TestCacheIndex:
     def test_index_scans_existing_entries(self, tmp_path):
         cache = SweepCache(str(tmp_path))
         for i in range(5):
-            cache.put(self._key(i), i)
+            cache.put(self._key(i), stored(i))
         fresh = SweepCache(str(tmp_path))  # index built lazily from disk
         assert fresh.index() == {self._key(i) for i in range(5)}
 
     def test_get_many_skips_unindexed_keys(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put(self._key(1), "one")
+        cache.put(self._key(1), stored(1))
         got = cache.get_many([self._key(1), self._key(2)])
-        assert got == {self._key(1): "one"}
+        assert ticks_of(got) == {self._key(1): 1}
 
     def test_get_many_respects_payload_guard(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put(self._key(1), "one", payload={"p": 1})
+        cache.put(self._key(1), stored(1), payload={"p": 1})
         got = cache.get_many([self._key(1)],
                              payloads={self._key(1): {"p": 2}})
         assert got == {}
@@ -442,22 +507,22 @@ class TestCacheIndex:
     def test_put_updates_built_index(self, tmp_path):
         cache = SweepCache(str(tmp_path))
         assert cache.index() == set()
-        cache.put(self._key(7), 7)
+        cache.put(self._key(7), stored(7))
         assert self._key(7) in cache.index()
-        assert cache.get_many([self._key(7)]) == {self._key(7): 7}
+        assert ticks_of(cache.get_many([self._key(7)])) == {self._key(7): 7}
 
     def test_refresh_picks_up_other_writers(self, tmp_path):
         reader = SweepCache(str(tmp_path))
         assert reader.index() == set()
         writer = SweepCache(str(tmp_path))
-        writer.put(self._key(3), 3)
+        writer.put(self._key(3), stored(3))
         assert reader.get_many([self._key(3)]) == {}  # stale index: miss
         reader.refresh_index()
-        assert reader.get_many([self._key(3)]) == {self._key(3): 3}
+        assert ticks_of(reader.get_many([self._key(3)])) == {self._key(3): 3}
 
     def test_unreadable_indexed_entry_drops_from_index(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put(self._key(1), 1)
+        cache.put(self._key(1), stored(1))
         with open(cache._path(self._key(1)), "wb") as f:
             f.write(b"garbage")
         assert cache.get_many([self._key(1)]) == {}
@@ -465,7 +530,7 @@ class TestCacheIndex:
 
     def test_clear_resets_index(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put(self._key(1), 1)
+        cache.put(self._key(1), stored(1))
         cache.clear()
         assert cache.index() == set()
 
@@ -478,34 +543,34 @@ class TestStoreMemo:
 
     def test_repeat_get_decodes_once(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put(self._key(1), 41, payload={"p": 1})
+        cache.put(self._key(1), stored(41), payload={"p": 1})
         assert cache.reads == 0  # put never fills the memo
-        assert cache.get(self._key(1), payload={"p": 1}) == 41
-        assert cache.get(self._key(1), payload={"p": 1}) == 41
-        assert cache.get_many([self._key(1)]) == {self._key(1): 41}
+        assert ticks(cache.get(self._key(1), payload={"p": 1})) == 41
+        assert ticks(cache.get(self._key(1), payload={"p": 1})) == 41
+        assert ticks_of(cache.get_many([self._key(1)])) == {self._key(1): 41}
         assert cache.reads == 1
 
     def test_memo_hit_applies_collision_guard(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put(self._key(1), 41, payload={"p": 1})
-        assert cache.get(self._key(1), payload={"p": 1}) == 41
+        cache.put(self._key(1), stored(41), payload={"p": 1})
+        assert ticks(cache.get(self._key(1), payload={"p": 1})) == 41
         assert cache.get(self._key(1), payload={"p": 2}) is None
         assert cache.reads == 1
 
     def test_put_drops_the_memoized_entry(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put(self._key(1), 41)
-        assert cache.get(self._key(1)) == 41
-        cache.put(self._key(1), 42)
-        assert cache.get(self._key(1)) == 42
+        cache.put(self._key(1), stored(41))
+        assert ticks(cache.get(self._key(1))) == 41
+        cache.put(self._key(1), stored(42))
+        assert ticks(cache.get(self._key(1))) == 42
         assert cache.reads == 2
 
     def test_deleted_entry_answers_until_clear(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        cache.put(self._key(1), 41)
-        assert cache.get(self._key(1)) == 41
+        cache.put(self._key(1), stored(41))
+        assert ticks(cache.get(self._key(1))) == 41
         os.unlink(cache._path(self._key(1)))
-        assert cache.get(self._key(1)) == 41
+        assert ticks(cache.get(self._key(1))) == 41
         cache.clear()
         assert cache.get(self._key(1)) is None
 
@@ -514,10 +579,10 @@ class TestStoreMemo:
         monkeypatch.setattr(sweeppool, "STORE_MEMO_ENTRIES", 2)
         cache = SweepCache(str(tmp_path))
         for i in range(3):
-            cache.put(self._key(i), i)
-            assert cache.get(self._key(i)) == i
-        assert cache.get(self._key(2)) == 2  # still held
-        assert cache.get(self._key(0)) == 0  # evicted: decoded again
+            cache.put(self._key(i), stored(i))
+            assert ticks(cache.get(self._key(i))) == i
+        assert ticks(cache.get(self._key(2))) == 2  # still held
+        assert ticks(cache.get(self._key(0))) == 0  # evicted: decoded again
         assert cache.reads == 4
 
     def test_racing_threads_return_only_stored_values(self, tmp_path,
@@ -529,19 +594,20 @@ class TestStoreMemo:
         monkeypatch.setattr(sweeppool, "STORE_MEMO_ENTRIES", 3)
         cache = SweepCache(str(tmp_path))
         keys = [self._key(i) for i in range(12)]
-        value = {key: (i, "result") for i, key in enumerate(keys)}
+        value = {key: i for i, key in enumerate(keys)}
         payload = {key: {"i": i} for i, key in enumerate(keys)}
         for key in keys[::2]:
-            cache.put(key, value[key], payload[key])
+            cache.put(key, stored(value[key]), payload[key])
         decoded = []
-        real_load = pickle.load
+        real_decode = RunResult.from_record.__func__
 
-        def counting_load(f):
-            entry = real_load(f)
+        def counting_decode(cls, doc):
+            result = real_decode(cls, doc)
             decoded.append(1)
-            return entry
+            return result
 
-        monkeypatch.setattr(pickle, "load", counting_load)
+        monkeypatch.setattr(RunResult, "from_record",
+                            classmethod(counting_decode))
         errors = []
 
         def hammer(seed):
@@ -552,13 +618,13 @@ class TestStoreMemo:
                     op = rng.random()
                     if op < 0.4:
                         got = cache.get(key, payload[key])
-                        assert got is None or got == value[key]
+                        assert got is None or ticks(got) == value[key]
                     elif op < 0.7:
                         some = rng.sample(keys, 4)
                         for k, got in cache.get_many(some, payload).items():
-                            assert k in some and got == value[k]
+                            assert k in some and ticks(got) == value[k]
                     elif op < 0.97:
-                        cache.put(key, value[key], payload[key])
+                        cache.put(key, stored(value[key]), payload[key])
                     else:
                         cache.clear()
             except Exception as exc:  # noqa: BLE001 — reported below
@@ -602,13 +668,14 @@ class TestConcurrentWriters:
         for _ in range(200):
             value = cache.get(key, payload)
             if value is not None:
-                observed.add(value)
+                observed.add(ticks(value))
         for p in procs:
             p.join(60)
             assert p.exitcode == 0
         final = cache.get(key, payload)
-        assert final is not None and final.startswith("writer-")
-        assert all(v.startswith("writer-") for v in observed)
+        written = {_hammer_ticks(n, i) for n in range(4) for i in range(50)}
+        assert final is not None and ticks(final) in written
+        assert observed <= written
         stray = [f for _d, _s, fs in os.walk(str(tmp_path))
                  for f in fs if f.endswith(".tmp")]
         assert stray == []
@@ -627,10 +694,15 @@ class TestConcurrentWriters:
         assert results_to_json(again) == results_to_json(results)
 
 
+def _hammer_ticks(n, i):
+    """The ticks writer ``n`` stores on its ``i``-th put."""
+    return 1000 * (n + 1) + i
+
+
 def _hammer_cache(root, key, payload, n):
     cache = SweepCache(root)
     for i in range(50):
-        cache.put(key, f"writer-{n}-{i}", payload)
+        cache.put(key, stored(_hammer_ticks(n, i)), payload)
 
 
 class TestServicePlumbing:

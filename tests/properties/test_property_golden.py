@@ -19,8 +19,13 @@ goldens (``PYTHONPATH=src python -m tests.properties._golden``) and say
 why in the commit.
 """
 
+import functools
+import json
+
 import pytest
 
+from repro.core.config import DesignPoint
+from repro.core.metrics import RunResult
 from tests.properties._golden import (
     DESIGNS,
     PINNED,
@@ -33,13 +38,29 @@ from tests.properties._golden import (
 
 GOLDEN = load_golden()
 
+#: Every golden run, plus a perfect-memory design (no golden of its
+#: own) for the store round trip, keyed ``workload/name``.
+RUNS = {f"{workload}/{name}": (workload, design)
+        for workload in WORKLOADS for name, design in DESIGNS.items()}
+RUNS.update(PINNED)
+RUNS["gemm-ncubed/cache-perfect-memory"] = (
+    "gemm-ncubed", DesignPoint(mem_interface="cache", perfect_memory=True))
+
+
+@functools.lru_cache(maxsize=None)
+def _run(key):
+    """One simulation per key, shared by the golden and round-trip
+    tests."""
+    workload, design = RUNS[key]
+    return run_design(workload, design)
+
 
 @pytest.mark.parametrize("design_key", sorted(DESIGNS))
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_run_matches_golden_bytes(workload, design_key):
     key = f"{workload}/{design_key}"
     assert key in GOLDEN, f"missing golden entry {key}; regenerate goldens"
-    result = run_design(workload, DESIGNS[design_key])
+    result = _run(key)
     current = canonical(snapshot(result))
     golden = canonical(GOLDEN[key])
     assert current == golden, (
@@ -51,11 +72,21 @@ def test_run_matches_golden_bytes(workload, design_key):
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_pinned_run_matches_golden_bytes(key):
     assert key in GOLDEN, f"missing golden entry {key}; regenerate goldens"
-    workload, design = PINNED[key]
-    current = canonical(snapshot(run_design(workload, design)))
+    current = canonical(snapshot(_run(key)))
     assert current == canonical(GOLDEN[key]), (
         f"{key}: conflict counters or schedule diverged from the golden "
         f"snapshot")
+
+
+@pytest.mark.parametrize("key", sorted(RUNS))
+def test_store_record_round_trip_is_bit_identical(key):
+    """A result read back from its JSON store record snapshots to the
+    same bytes, and its record is unchanged."""
+    result = _run(key)
+    record = result.to_record()
+    stored = RunResult.from_record(json.loads(json.dumps(record)))
+    assert canonical(snapshot(stored)) == canonical(snapshot(result))
+    assert stored.to_record() == record
 
 
 def test_golden_file_is_canonical():

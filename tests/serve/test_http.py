@@ -13,7 +13,8 @@ from repro.core.export import results_to_json
 from repro.core.sweep import dma_design_space, run_sweep
 from repro.serve import SweepService
 from repro.serve.client import ServiceClient, ServiceError
-from repro.serve.httpd import design_from_json, make_server, serve
+from repro.errors import ConfigError
+from repro.serve.httpd import make_server, serve
 
 WORKLOAD = "aes-aes"
 
@@ -39,18 +40,19 @@ def endpoint(tmp_path):
         thread.join(timeout=5)
 
 
-class TestDesignFromJson:
+class TestDesignRecord:
     def test_round_trips_fields(self):
         d = DesignPoint(lanes=4, partitions=2)
-        assert design_from_json(dict(d.__dict__)).__dict__ == d.__dict__
+        assert DesignPoint.from_record(d.to_record()).to_record() == \
+            d.to_record()
 
     def test_rejects_unknown_field(self):
-        with pytest.raises(ValueError, match="unknown design field"):
-            design_from_json({"lanes": 4, "warp_speed": 9})
+        with pytest.raises(ConfigError, match="unknown design field"):
+            DesignPoint.from_record({"lanes": 4, "warp_speed": 9})
 
     def test_rejects_non_object(self):
-        with pytest.raises(ValueError, match="JSON object"):
-            design_from_json([1, 2, 3])
+        with pytest.raises(ConfigError, match="JSON object"):
+            DesignPoint.from_record([1, 2, 3])
 
 
 class TestEndpoints:
@@ -73,9 +75,7 @@ class TestEndpoints:
         assert doc["workload"] == WORKLOAD
         assert doc["service"]["dispatches"] == 2
         serial = json.loads(results_to_json(run_sweep(WORKLOAD, designs)))
-        got = [{k: v for k, v in record.items() if k != "fidelity"}
-               for record in doc["results"]]
-        assert got == serial
+        assert doc["results"] == serial
         stats = client.stats()
         assert stats["service"]["dispatches"] == 2
         assert stats["engine"]["evaluated"] == 2
@@ -105,6 +105,17 @@ class TestEndpoints:
         assert doc["service"]["tier"] == "warm"
         assert doc["missing"] == 1
         assert len(doc["results"]) == 1
+
+    def test_answer_names_every_design_field(self, endpoint):
+        # Regression: served records dropped perfect_memory, so the
+        # answer did not say which design it measured.
+        client, _service = endpoint
+        design = DesignPoint(mem_interface="cache", perfect_memory=True,
+                             spad_ports=2, pipelining="modulo", ii=4)
+        [record] = client.sweep(WORKLOAD, [design])["results"]
+        got = DesignPoint.from_record(
+            {name: record[name] for name in DesignPoint.FIELDS})
+        assert got.to_record() == design.to_record()
 
     def test_designs_accept_plain_dicts(self, endpoint):
         client, _service = endpoint

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.core.config import DesignPoint
-from repro.core.export import results_to_json
+from repro.core.export import result_record, results_to_json
 from repro.core.sweep import dma_design_space, run_sweep
 from repro.core.sweeppool import SweepMetrics, sweep_key
 from repro.errors import CalibrationError
@@ -238,34 +238,28 @@ class TestQuery:
 
     def test_repeated_warm_query_decodes_and_canonicalizes_nothing(
             self, tmp_path, monkeypatch):
-        import pickle
-
         import repro.core.sweeppool as sweeppool
         designs = dma_design_space("quick")
         run_sweep(WORKLOAD, designs, cache_dir=str(tmp_path))
-        counts = {"load": 0, "canon": 0}
-        real_load = pickle.load
+        counts = {"canon": 0}
         real_canon = sweeppool.canonical_design_fields
-
-        def counting_load(f):
-            counts["load"] += 1
-            return real_load(f)
 
         def counting_canon(design):
             counts["canon"] += 1
             return real_canon(design)
 
-        monkeypatch.setattr(pickle, "load", counting_load)
         monkeypatch.setattr(sweeppool, "canonical_design_fields",
                             counting_canon)
         with SweepService(str(tmp_path), batch_window=0.0) as svc:
             first = svc.query("pareto", WORKLOAD, space="dma",
                               density="quick")
-            assert counts["load"] == svc.metrics.store_reads == len(designs)
-            counts.update(load=0, canon=0)
+            assert svc.cache.reads == svc.metrics.store_reads == \
+                len(designs)
+            counts.update(canon=0)
             second = svc.query("pareto", WORKLOAD, space="dma",
                                density="quick")
-            assert counts == {"load": 0, "canon": 0}
+            assert svc.cache.reads == len(designs)
+            assert counts == {"canon": 0}
             assert svc.metrics.store_reads == len(designs)
         assert second["service"]["hits"] == len(designs)
         assert second["frontier"] == first["frontier"]
@@ -360,8 +354,7 @@ class TestQueryReduction:
                                           fidelity="fast")
         assert any(r["fidelity"] == "fast" for r in response["frontier"])
         expected = pareto_frontier(reducible(results, "fast"))
-        assert response["frontier"] == [SweepService._record(r)
-                                        for r in expected]
+        assert response["frontier"] == [result_record(r) for r in expected]
 
 
 class TestTieredService:
