@@ -73,7 +73,7 @@ def test_concurrent_clients_dedup_to_unique_points(tmp_path):
     designs = dma_design_space("quick")
     # Six clients, heavily overlapping windows onto the same grid.
     grids = [designs[i % 3:][:6] for i in range(6)]
-    with SweepService(str(tmp_path / "dedup"), batch_window=0.02) as svc:
+    with SweepService(str(tmp_path / "dedup")) as svc:
         outs = [None] * len(grids)
         barrier = threading.Barrier(len(grids))
 
@@ -130,7 +130,7 @@ def test_warm_query_answers_without_simulation(tmp_path):
     exact = run_sweep(WORKLOAD, grid, cache_dir=store)
     warm_s = time.perf_counter() - t0
 
-    with SweepService(store, batch_window=0.0) as svc:
+    with SweepService(store) as svc:
         query_s = float("inf")
         for _ in range(QUERY_REPS):
             t0 = time.perf_counter()

@@ -628,8 +628,10 @@ class DatapathScheduler:
             del mem[lost:walked]
             if lost >= _MEMO_BLOCKED:
                 if lost != start:
-                    memo = (lost, {plans[k & mask][0] for k in mem[:lost]},
-                            sum(map(lines_cleared, gated)))
+                    # On a hit the run only grew: add the new nodes' banks.
+                    banks = memo[1] if start else set()
+                    banks.update([plans[k & mask][0] for k in mem[start:lost]])
+                    memo = (lost, banks, sum(map(lines_cleared, gated)))
                 blocked[lane] = memo
             else:
                 blocked[lane] = None

@@ -232,11 +232,6 @@ def build_parser():
                          help="evaluation tier for cold points (default: "
                               "auto where a calibration exists, exact "
                               "otherwise)")
-    serve_p.add_argument("--batch-window", type=float, default=0.02,
-                         metavar="S",
-                         help="seconds the dispatcher waits to coalesce "
-                              "concurrent requests into one batch "
-                              "(default 0.02)")
     serve_p.add_argument("--verbose", action="store_true",
                          help="log every HTTP request")
 
@@ -1039,7 +1034,7 @@ def cmd_serve(args, out):
     from repro.serve.httpd import serve
     serve(args.cache_dir or DEFAULT_CACHE_DIR, host=args.host,
           port=args.port, jobs=args.jobs, fidelity=args.fidelity,
-          batch_window=args.batch_window, verbose=args.verbose, out=out)
+          verbose=args.verbose, out=out)
     return 0
 
 

@@ -120,6 +120,10 @@ class DesignPoint:
                                   or self.ii < 1):
             raise ConfigError(
                 f"ii must be 'auto' or an integer >= 1, got {self.ii!r}")
+        for name in ("cache_size_kb", "cache_line", "cache_assoc"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if self.cache_size_kb * 1024 % (self.cache_line * self.cache_assoc):
             raise ConfigError(
                 f"cache {self.cache_size_kb}KB not divisible by "
@@ -168,18 +172,16 @@ class DesignPoint:
                 self.perfect_memory)
 
     def __repr__(self):
-        if self.is_dma:
-            opts = []
-            if self.pipelined_dma:
-                opts.append("pipelined")
-            if self.dma_triggered_compute:
-                opts.append("triggered")
-            extra = "+".join(opts) or "baseline"
-            return (f"DesignPoint(dma lanes={self.lanes} "
-                    f"parts={self.partitions} {extra})")
-        return (f"DesignPoint(cache lanes={self.lanes} "
-                f"size={self.cache_size_kb}KB line={self.cache_line} "
-                f"ports={self.cache_ports} assoc={self.cache_assoc})")
+        # The interface always, then every field that differs from its
+        # default: two designs that print alike are equal.
+        fields = [f"mem_interface={self.mem_interface!r}"]
+        fields += [f"{name}={value!r}"
+                   for name, value in self.to_record().items()
+                   if name != "mem_interface" and value != _DEFAULTS[name]]
+        return f"DesignPoint({', '.join(fields)})"
+
+
+_DEFAULTS = DesignPoint().to_record()
 
 
 class SoCConfig:

@@ -176,7 +176,7 @@ def make_server(service, host="127.0.0.1", port=0, verbose=False):
 
 
 def serve(cache_dir, host="127.0.0.1", port=8642, jobs=None, fidelity=None,
-          batch_window=0.02, verbose=False, out=print, ready=None):
+          verbose=False, out=print, ready=None):
     """Run the sweep service until interrupted (the ``repro serve`` body).
 
     ``ready`` (if given) is called with the bound server before the
@@ -184,8 +184,7 @@ def serve(cache_dir, host="127.0.0.1", port=8642, jobs=None, fidelity=None,
     arrange shutdown.
     """
     from repro.serve.service import SweepService
-    service = SweepService(cache_dir, jobs=jobs, fidelity=fidelity,
-                           batch_window=batch_window)
+    service = SweepService(cache_dir, jobs=jobs, fidelity=fidelity)
     server = make_server(service, host=host, port=port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
     out(f"repro serve: listening on http://{bound_host}:{bound_port} "

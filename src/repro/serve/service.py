@@ -11,9 +11,11 @@ way:
 * **dispatch** — the point is genuinely cold and is queued for
   evaluation (at most once fleet-wide).
 
-A dispatcher thread drains the queue, coalescing points that arrive
-within ``batch_window`` seconds into per-``(workload, config,
-fidelity)`` batches and running them through
+A dispatcher thread takes the whole queue as soon as it wakes (points
+that arrive while a batch runs form the next one; identical points meet
+in the in-flight table, so no wait for stragglers would dedup more),
+splits it into per-``(workload, config, fidelity)`` batches and runs
+each through
 :func:`repro.core.sweep.run_sweep` — so they share trace capture, the
 worker pool, and (under ``fidelity="auto"``) one triage round — with
 ``on_error="collect"``: a failing point becomes a
@@ -98,6 +100,8 @@ class ServiceMetrics:
         ("evaluated", 0, "dispatched points that completed"),
         ("failures", 0, "dispatched points that failed"),
         ("batches", 0, "coalesced engine batches"),
+        ("queue_wait_s", 0.0, "summed wait from each batch's oldest "
+         "queued point to the batch start (s)"),
         ("queue_depth", 0, "points queued awaiting dispatch"),
         ("latency_p50", None, "median request latency (s)"),
         ("latency_p95", None, "95th-percentile request latency (s)"),
@@ -156,9 +160,10 @@ class _Inflight:
     """One design point being evaluated for whoever cares to wait."""
 
     __slots__ = ("key", "workload", "design", "cfg", "tier", "event",
-                 "result")
+                 "result", "enqueued")
 
     def __init__(self, key, workload, design, cfg, tier):
+        self.enqueued = time.perf_counter()  # queued as soon as it exists
         self.key = key
         self.workload = workload
         self.design = design
@@ -183,13 +188,10 @@ class SweepService:
     ``fidelity=None`` (the default) picks per workload: ``"auto"``
     triage when a persisted calibration exists under ``cache_dir``
     (``repro calibrate``), ``"exact"`` otherwise.  ``jobs`` is the
-    worker count of the engine the dispatcher hands batches to;
-    ``batch_window`` is how long the dispatcher waits after the first
-    queued point for stragglers to coalesce into one batch.
+    worker count of the engine the dispatcher hands batches to.
     """
 
-    def __init__(self, cache_dir, jobs=None, cfg=None, fidelity=None,
-                 batch_window=0.02):
+    def __init__(self, cache_dir, jobs=None, cfg=None, fidelity=None):
         if fidelity is not None and fidelity not in FIDELITIES:
             raise ValueError(
                 f"fidelity must be one of {FIDELITIES} or None, "
@@ -199,7 +201,6 @@ class SweepService:
         self.jobs = jobs
         self.default_cfg = cfg or SoCConfig()
         self.fidelity = fidelity
-        self.batch_window = batch_window
         self.metrics = ServiceMetrics(self.cache)
         self.sweep_metrics = SweepMetrics()  # engine-side aggregate
         self._lock = threading.Lock()
@@ -400,21 +401,19 @@ class SweepService:
 
     def _dispatch_loop(self):
         while True:
+            self._wakeup.wait()
             with self._lock:
-                have_work = bool(self._queue)
-                closed = self._closed
-            if not have_work:
-                if closed:
-                    return
-                self._wakeup.wait(0.1)
+                # Cleared under the lock: a submit that queues after this
+                # point sets the event again, so no wakeup is lost.
                 self._wakeup.clear()
-                continue
-            if self.batch_window > 0:
-                time.sleep(self.batch_window)  # let stragglers coalesce
-            with self._lock:
                 batch = list(self._queue)
                 self._queue.clear()
                 self.metrics.set_queue_depth(0)
+                closed = self._closed
+            if not batch:
+                if closed:
+                    return
+                continue
             groups = {}
             for entry in batch:
                 group_key = (entry.workload, id(entry.cfg), entry.tier)
@@ -433,7 +432,8 @@ class SweepService:
         cfg = entries[0].cfg
         tier = entries[0].tier
         designs = [entry.design for entry in entries]
-        self.metrics.bump(batches=1)
+        self.metrics.bump(batches=1, queue_wait_s=(time.perf_counter()
+                                                   - entries[0].enqueued))
         try:
             kwargs = {}
             if tier != "exact":

@@ -386,7 +386,6 @@ class TestServeCLI:
         assert args.port == 8642
         assert args.jobs == 1
         assert args.fidelity is None
-        assert args.batch_window == 0.02
         assert not args.verbose
 
     def test_serve_delegates_to_httpd(self, monkeypatch, tmp_path):
@@ -400,14 +399,12 @@ class TestServeCLI:
         monkeypatch.setattr(httpd, "serve", fake_serve)
         code, _text = run_cli(["serve", "--cache-dir", str(tmp_path),
                                "--port", "0", "--jobs", "2",
-                               "--fidelity", "auto",
-                               "--batch-window", "0.01", "--verbose"])
+                               "--fidelity", "auto", "--verbose"])
         assert code == 0
         assert captured["cache_dir"] == str(tmp_path)
         assert captured["port"] == 0
         assert captured["jobs"] == 2
         assert captured["fidelity"] == "auto"
-        assert captured["batch_window"] == 0.01
         assert captured["verbose"] is True
 
     def test_serve_uses_default_cache_dir(self, monkeypatch):
@@ -430,7 +427,7 @@ def live_server(tmp_path):
     from repro.serve import SweepService
     from repro.serve.httpd import make_server
 
-    service = SweepService(str(tmp_path), batch_window=0.005)
+    service = SweepService(str(tmp_path))
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -55,6 +55,16 @@ class TestDesignPoint:
             DesignPoint(mem_interface="cache", cache_size_kb=2,
                         cache_line=24, cache_assoc=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cache_line", 0), ("cache_assoc", 0),
+        ("cache_size_kb", 0), ("cache_size_kb", -4),
+    ])
+    def test_nonpositive_cache_geometry_rejected(self, field, value):
+        # Regression: zero line or assoc divided by zero in the
+        # divisibility rule, and a zero or negative size passed it.
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            DesignPoint(mem_interface="cache", **{field: value})
+
     def test_invalid_prefetcher(self):
         with pytest.raises(ConfigError):
             DesignPoint(prefetcher="oracle")
@@ -83,6 +93,23 @@ class TestDesignPoint:
     def test_repr_readable(self):
         assert "dma" in repr(DesignPoint())
         assert "cache" in repr(DesignPoint(mem_interface="cache"))
+
+    @pytest.mark.parametrize("a, b", [
+        (DesignPoint(pipelining="off"),
+         DesignPoint(pipelining="modulo", ii=4, spad_ports=2,
+                     double_buffer=True)),
+        (DesignPoint(mem_interface="cache"),
+         DesignPoint(mem_interface="cache", perfect_memory=True)),
+    ])
+    def test_repr_tells_designs_apart(self, a, b):
+        # Regression: the repr printed a fixed subset of the fields, so
+        # these pairs printed alike.
+        assert repr(a) != repr(b)
+
+    def test_repr_shows_fields_off_their_defaults(self):
+        d = DesignPoint(lanes=8, pipelining="modulo", ii=4)
+        assert repr(d) == ("DesignPoint(mem_interface='dma', lanes=8, "
+                           "pipelining='modulo', ii=4)")
 
     def test_fields_are_the_constructor_parameters(self):
         params = inspect.signature(DesignPoint).parameters

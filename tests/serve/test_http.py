@@ -26,7 +26,7 @@ def quick_designs(n=3):
 @pytest.fixture
 def endpoint(tmp_path):
     """A live server on an ephemeral port; yields (client, service)."""
-    service = SweepService(str(tmp_path), batch_window=0.005)
+    service = SweepService(str(tmp_path))
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -141,6 +141,12 @@ class TestErrorMapping:
         ({"loop_pipelining": True}, "unknown design field"),
         ({"pipelined_dma": 1}, "pipelined_dma must be a bool"),
         ({"double_buffer": {}}, "double_buffer must be a bool"),
+        ({"mem_interface": "cache", "cache_line": 0}, "cache_line must be"),
+        ({"mem_interface": "cache", "cache_assoc": 0}, "cache_assoc must be"),
+        ({"mem_interface": "cache", "cache_size_kb": 0},
+         "cache_size_kb must be"),
+        ({"mem_interface": "cache", "cache_size_kb": -4},
+         "cache_size_kb must be"),
     ])
     def test_invalid_design_is_400_and_server_lives(self, endpoint, design,
                                                     message):
@@ -310,8 +316,7 @@ class TestServeLifecycle:
 
         thread = threading.Thread(
             target=serve, args=(str(tmp_path),),
-            kwargs={"port": 0, "batch_window": 0.005,
-                    "out": lines.append, "ready": ready},
+            kwargs={"port": 0, "out": lines.append, "ready": ready},
             daemon=True)
         thread.start()
         assert bound.wait(timeout=10)

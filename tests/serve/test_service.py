@@ -20,7 +20,7 @@ def quick_designs(n=3):
 
 @pytest.fixture
 def service(tmp_path):
-    svc = SweepService(str(tmp_path), batch_window=0.005)
+    svc = SweepService(str(tmp_path))
     yield svc
     svc.close()
 
@@ -48,7 +48,7 @@ class TestSubmit:
         # warm-up) must be hits, not re-dispatches.
         designs = quick_designs(2)
         expected = run_sweep(WORKLOAD, designs, cache_dir=str(tmp_path))
-        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+        with SweepService(str(tmp_path)) as svc:
             results, report = svc.submit(WORKLOAD, designs)
             assert report["hits"] == 2
             assert report["dispatches"] == 0
@@ -66,7 +66,7 @@ class TestSubmit:
         # most once fleet-wide — the acceptance-criterion invariant.
         designs = quick_designs(4)
         grids = [designs[0:3], designs[1:4], designs[0:4], designs[2:4]]
-        with SweepService(str(tmp_path), batch_window=0.02) as svc:
+        with SweepService(str(tmp_path)) as svc:
             outs = [None] * len(grids)
             barrier = threading.Barrier(len(grids))
 
@@ -90,6 +90,49 @@ class TestSubmit:
         for grid, (results, _report) in zip(grids, outs):
             expected = [serial[sweep_key(WORKLOAD, d)] for d in grid]
             assert results_to_json(results) == results_to_json(expected)
+
+    def test_no_wakeup_lost_under_thread_churn(self, tmp_path,
+                                               monkeypatch):
+        # Eight clients hammer the queue while the dispatcher clears its
+        # wakeup: a lost wakeup leaves a client waiting forever, a
+        # misrouted result hands one client another's point.
+        import random
+        import sys
+        import time
+        import repro.serve.service as service_mod
+        monkeypatch.setattr(service_mod, "run_sweep",
+                            lambda workload, designs, cfg, **kw:
+                            list(designs))
+        pool = [DesignPoint(lanes=lanes, partitions=parts)
+                for lanes in range(1, 9) for parts in range(1, 9)]
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SweepService(str(tmp_path)) as svc:
+                def client(seed):
+                    rng = random.Random(seed)
+                    for _ in range(40):
+                        grid = rng.sample(pool, rng.randint(1, 4))
+                        results, _report = svc.submit(WORKLOAD, grid)
+                        outs.append(results == grid)
+
+                threads = [threading.Thread(target=client, args=(seed,))
+                           for seed in range(8)]
+                for t in threads:
+                    t.start()
+                deadline = time.monotonic() + 30
+                for t in threads:
+                    t.join(max(0.0, deadline - time.monotonic()))
+                assert not any(t.is_alive() for t in threads)
+                snap = svc.metrics.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs == [True] * 8 * 40
+        assert snap["evaluated"] == snap["dispatches"] > 0
+        assert (snap["hits"] + snap["joins"] + snap["dispatches"]
+                == snap["points"])
+        assert snap["queue_depth"] == 0
 
     def test_failed_point_is_collected_not_raised(self, service,
                                                   monkeypatch):
@@ -151,10 +194,30 @@ class TestMetricsAttribution:
             ("serve.evaluated", "dispatched points that completed"),
             ("serve.failures", "dispatched points that failed"),
             ("serve.batches", "coalesced engine batches"),
+            ("serve.queue_wait_s", "summed wait from each batch's oldest "
+             "queued point to the batch start (s)"),
             ("serve.queue_depth", "points queued awaiting dispatch"),
             ("serve.latency_p50", "median request latency (s)"),
             ("serve.latency_p95", "95th-percentile request latency (s)"),
         ] + [(n, engine[n].desc) for n in engine.names()]
+
+    def test_cold_submit_never_sleeps(self, service, monkeypatch):
+        # The dispatcher takes the queue the moment it wakes: no
+        # coalescing sleep delays a cold point.
+        import time
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        _results, report = service.submit(WORKLOAD, quick_designs(1))
+        assert report["dispatches"] == 1
+        assert sleeps == []
+
+    def test_queue_wait_sums_over_batches(self, service):
+        service.submit(WORKLOAD, quick_designs(1))
+        first = service.metrics.snapshot()
+        service.submit(WORKLOAD, quick_designs(3)[1:])
+        second = service.metrics.snapshot()
+        assert (first["batches"], second["batches"]) == (1, 2)
+        assert 0 < first["queue_wait_s"] < second["queue_wait_s"]
 
     def test_reg_stats_wiring(self, service):
         from repro.obs.stats import StatRegistry
@@ -186,8 +249,8 @@ class TestServiceMetricsUnit:
     def test_snapshot_keys_pinned(self):
         assert list(ServiceMetrics().snapshot()) == [
             "requests", "points", "hits", "store_reads", "joins",
-            "dispatches", "evaluated", "failures", "batches", "queue_depth",
-            "latency_p50", "latency_p95"]
+            "dispatches", "evaluated", "failures", "batches", "queue_wait_s",
+            "queue_depth", "latency_p50", "latency_p95"]
 
     def test_percentiles_empty_window(self):
         m = ServiceMetrics()
@@ -250,7 +313,7 @@ class TestQuery:
 
         monkeypatch.setattr(sweeppool, "canonical_design_fields",
                             counting_canon)
-        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+        with SweepService(str(tmp_path)) as svc:
             first = svc.query("pareto", WORKLOAD, space="dma",
                               density="quick")
             assert svc.cache.reads == svc.metrics.store_reads == \
@@ -277,7 +340,7 @@ class TestQuery:
             return real(cfg)
 
         monkeypatch.setattr(calibrate, "config_hash", counting)
-        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+        with SweepService(str(tmp_path)) as svc:
             first = svc.query("pareto", WORKLOAD, space="dma",
                               density="quick")
             calls.clear()
@@ -345,7 +408,7 @@ class TestQueryReduction:
         designs = dma_design_space("quick")
         calibrate_workload(WORKLOAD, density="quick").save(str(tmp_path))
         run_sweep(WORKLOAD, designs[:2], cache_dir=str(tmp_path))
-        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+        with SweepService(str(tmp_path)) as svc:
             response = svc.query("pareto", WORKLOAD, designs=designs,
                                  fidelity="fast")
             assert response["service"]["hits"] == 2
@@ -366,7 +429,7 @@ class TestTieredService:
         designs = dma_design_space("quick")
         calibrate_workload(WORKLOAD, density="quick",
                            cache_dir=str(tmp_path))
-        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+        with SweepService(str(tmp_path)) as svc:
             results, report = svc.submit(WORKLOAD, designs)
             assert report["tier"] == "auto"
             exact = [r for r in results
@@ -382,7 +445,7 @@ class TestTieredService:
         calibrate_workload(WORKLOAD, density="quick",
                            cache_dir=str(tmp_path))
         d = quick_designs(1)
-        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+        with SweepService(str(tmp_path)) as svc:
             _r, calibrated = svc.submit(WORKLOAD, d)
             other = SoCConfig(bus_width_bits=64)
             _r, uncalibrated = svc.submit(WORKLOAD, d, cfg=other)
@@ -398,7 +461,7 @@ class TestTieredService:
         calibrate_workload(WORKLOAD, density="quick",
                            cache_dir=str(tmp_path))
         d = DesignPoint(lanes=2, partitions=2)  # off the sampled grid
-        with SweepService(str(tmp_path), batch_window=0.1) as svc:
+        with SweepService(str(tmp_path)) as svc:
             key = sweep_key(WORKLOAD, d)
             assert svc.cache.get(key) is None  # genuinely cold
             reports = {}
@@ -430,7 +493,7 @@ class TestTieredService:
                            cache_dir=str(tmp_path))
         from repro.serve.service import _Inflight
         d = DesignPoint(lanes=2, partitions=2)
-        with SweepService(str(tmp_path), batch_window=0.0) as svc:
+        with SweepService(str(tmp_path)) as svc:
             key = sweep_key(WORKLOAD, d)
             entry = _Inflight(key, WORKLOAD, d, svc.default_cfg, "exact")
             with svc._lock:
