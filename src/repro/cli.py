@@ -4,17 +4,19 @@ Mirrors how gem5-Aladdin is driven from the shell: configure a design
 point, point it at a workload, get timing/power/area and runtime
 breakdowns back.
 
-    python -m repro list
+    python -m repro workloads --sizes
     python -m repro run md-knn --lanes 8 --partitions 8
     python -m repro run spmv-crs --mem cache --cache-size 8 --cache-ports 4
     python -m repro sweep fft-transpose --density standard
     python -m repro validate
     python -m repro figure fig2b
 
-Observability (see :mod:`repro.obs`):
+Observability (see :mod:`repro.obs`); the observers of ``run`` combine
+in one run:
 
-    python -m repro stats gemm-ncubed --json stats.json
-    python -m repro trace gemm-ncubed -o trace.json --debug-flags dma,sched
+    python -m repro run gemm-ncubed --stats               # stats.txt dump
+    python -m repro run gemm-ncubed --stats stats.json --profile 10 \
+        --timeline trace.json --debug-flags dma,sched
     python -m repro run aes-aes --debug-flags bus,dram
     REPRO_DEBUG_FLAGS=tlb python -m repro run spmv-crs --mem cache
 
@@ -52,6 +54,7 @@ Python kernel frontend (see :mod:`repro.frontend`):
 """
 
 import argparse
+import json
 import math
 import sys
 from contextlib import contextmanager
@@ -59,7 +62,7 @@ from contextlib import contextmanager
 from repro.core.config import DesignPoint, SoCConfig
 from repro.core.pareto import reducible, sweep_pareto
 from repro.core.reporting import breakdown_table, format_table, pareto_table, percent
-from repro.core.soc import run_design
+from repro.core.soc import SoC
 from repro.core.sweep import FIDELITIES, cache_design_space, dma_design_space
 from repro.workloads import cached_ddg, get_workload, workload_names
 
@@ -72,12 +75,13 @@ def build_parser():
                     "simulation (MICRO 2016)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available workloads (with traces)")
-
     wl_p = sub.add_parser(
         "workloads",
         help="enumerate what is sweepable: name, description, source "
-             "(builtin|frontend); cheap — no traces are built")
+             "(builtin|frontend)")
+    wl_p.add_argument("--sizes", action="store_true",
+                      help="also build every trace and report its node "
+                           "count and footprint (slow on a large registry)")
     _add_kernel_args(wl_p)
 
     tk_p = sub.add_parser(
@@ -89,48 +93,30 @@ def build_parser():
     tk_p.add_argument("--histogram", action="store_true",
                       help="print the per-opcode dynamic op histogram")
 
-    run_p = sub.add_parser("run", help="run one (workload, design) offload")
+    run_p = sub.add_parser(
+        "run", help="run one (workload, design) offload; --profile, "
+                    "--stats and --timeline observe the same run")
     run_p.add_argument("workload", metavar="workload")
     run_p.add_argument("--check-report", metavar="PATH", default=None,
                        help="write the checker's health report as JSON "
                             "(implies --check)")
+    run_p.add_argument("--profile", type=_count, nargs="?", const=0,
+                       default=None, metavar="N",
+                       help="attach the event-loop profiler and print its "
+                            "per-component report (the N heaviest "
+                            "components if N is given)")
+    run_p.add_argument("--stats", nargs="?", const=True, default=None,
+                       metavar="PATH|-",
+                       help="dump the full stats registry: stats.txt text "
+                            "without an argument, JSON to PATH, or JSON on "
+                            "stdout for '-'")
+    run_p.add_argument("--timeline", metavar="PATH", default=None,
+                       help="write a Chrome trace_event timeline, the "
+                            "enabled --debug-flags as markers; load in "
+                            "Perfetto or chrome://tracing")
     _add_kernel_args(run_p)
     _add_design_args(run_p)
     _add_platform_args(run_p)
-
-    prof_p = sub.add_parser(
-        "profile",
-        help="run one offload under the event-loop profiler")
-    prof_p.add_argument("workload", metavar="workload")
-    prof_p.add_argument("--top", type=int, default=None, metavar="N",
-                        help="show only the N heaviest components")
-    _add_kernel_args(prof_p)
-    _add_design_args(prof_p)
-    _add_platform_args(prof_p)
-
-    stats_p = sub.add_parser(
-        "stats",
-        help="run one offload and dump the full stats registry")
-    stats_p.add_argument("workload", metavar="workload")
-    stats_p.add_argument("--json", metavar="PATH", default=None,
-                         help="also write the registry as JSON "
-                              "('-' for stdout)")
-    stats_p.add_argument("--no-text", action="store_true",
-                         help="suppress the stats.txt-style text dump")
-    _add_kernel_args(stats_p)
-    _add_design_args(stats_p)
-    _add_platform_args(stats_p)
-
-    trace_p = sub.add_parser(
-        "trace",
-        help="run one offload and export a Chrome trace_event timeline")
-    trace_p.add_argument("workload", metavar="workload")
-    trace_p.add_argument("-o", "--out", metavar="PATH", default="trace.json",
-                         help="output path (default trace.json); load in "
-                              "Perfetto or chrome://tracing")
-    _add_kernel_args(trace_p)
-    _add_design_args(trace_p)
-    _add_platform_args(trace_p)
 
     pipe_p = sub.add_parser(
         "pipeline",
@@ -192,7 +178,7 @@ def build_parser():
         "calibrate",
         help="fit the fast analytic tier against exact simulation")
     cal_p.add_argument("workloads", nargs="+", metavar="workload",
-                       help="workloads to calibrate (see 'repro list')")
+                       help="workloads to calibrate (see 'repro workloads')")
     cal_p.add_argument("--density", default="standard",
                        choices=("quick", "standard", "full"),
                        help="grid whose corners/mid-edges are sampled "
@@ -221,7 +207,7 @@ def build_parser():
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8642,
                          help="listen port (default 8642; 0 = ephemeral)")
-    serve_p.add_argument("--jobs", type=_jobs_count, default=1, metavar="N",
+    serve_p.add_argument("--jobs", type=_count, default=1, metavar="N",
                          help="worker processes for cold points "
                               "(0 = one per CPU; default 1)")
     serve_p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -283,23 +269,20 @@ def _add_kernel_args(parser):
 def _load_kernel_files(args):
     """Register the kernels of every ``--kernel FILE`` (idempotent)."""
     from repro.frontend import load_kernel_file
-    loaded = []
-    for path in getattr(args, "kernel_files", None) or []:
-        loaded.extend(load_kernel_file(path, replace=True))
-    return loaded
+    for path in args.kernel_files or []:
+        load_kernel_file(path, replace=True)
 
 
-def _resolve_workload(args, name=None):
-    """Validate the requested workload name against the live registry."""
+def _resolve_workloads(args, requested):
+    """Load the ``--kernel`` files, then validate each requested workload
+    name against the live registry."""
     _load_kernel_files(args)
-    from repro.workloads import workload_names
-    name = name if name is not None else args.workload
     names = workload_names()
-    if name not in names:
-        raise SystemExit(
-            f"unknown workload {name!r}; available: {', '.join(names)} "
-            f"(register your own with --kernel FILE.py)")
-    return name
+    for name in requested:
+        if name not in names:
+            raise SystemExit(
+                f"unknown workload {name!r}; available: {', '.join(names)} "
+                f"(register your own with --kernel FILE.py)")
 
 
 def _ii_value(text):
@@ -369,13 +352,29 @@ def _checker_from_args(args):
     return resolve_check(enabled)
 
 
+def _print_check(out, checker, report_path):
+    """The clean-run summary of ``--check`` and its ``--check-report``."""
+    if checker is None:
+        return
+    audit = checker.last_audit or {}
+    out("")
+    out(f"check    : clean ({checker.invariant_checks} invariant "
+        f"checks, {audit.get('components_audited', 0)} components "
+        f"audited, 0 leaks)")
+    if report_path:
+        checker.dump_json(report_path)
+        out(f"wrote health report to {report_path}")
+
+
 @contextmanager
-def _debug_flags(args):
+def _debug_flags(args, record=False):
     """Enable --debug-flags / REPRO_DEBUG_FLAGS for one command.
 
     Flags must be active *before* the SoC is built (components capture
     their tracers at construction); the previous state is restored on
-    exit so in-process callers (tests) never leak flags.
+    exit so in-process callers (tests) never leak flags.  With
+    ``record`` the yielded list collects every emitted trace event (the
+    markers of a timeline); otherwise it stays empty.
     """
     import os
 
@@ -384,18 +383,35 @@ def _debug_flags(args):
     if spec is None:
         spec = os.environ.get(trace.ENV_VAR) or None
     with trace.flags(spec):
-        yield trace
+        events = trace.start_recording() if record else []
+        try:
+            yield events
+        finally:
+            if record:
+                trace.stop_recording()
 
 
-def _jobs_count(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = one per CPU), got {value}")
-    return value
+def _write_timeline(out, builder, events, path):
+    """Write a timeline built from one run and report its size."""
+    num_events = builder.write(path)
+    out(f"timeline : {len(builder.rows())} rows, {num_events} events "
+        f"({len(events)} trace markers) -> {path}")
+    out("view     : load in https://ui.perfetto.dev or chrome://tracing")
 
 
-def _retry_count(text):
+def _emit_json(out, doc, dest, label):
+    """Print ``doc`` as JSON when ``dest`` is ``-``, else write it to the
+    file ``dest``."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if dest == "-":
+        out(text)
+    else:
+        with open(dest, "w") as fh:
+            fh.write(text + "\n")
+        out(f"wrote {label} to {dest}")
+
+
+def _count(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -411,7 +427,7 @@ def _timeout_seconds(text):
 
 
 def _add_sweep_engine_args(parser):
-    parser.add_argument("--jobs", type=_jobs_count, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_count, default=1, metavar="N",
                         help="evaluate design points over N worker "
                              "processes (0 = one per CPU; default 1)")
     parser.add_argument("--no-cache", action="store_true",
@@ -424,7 +440,7 @@ def _add_sweep_engine_args(parser):
                         help="'collect' records a failing design point as "
                              "a structured FailedPoint and keeps sweeping "
                              "(default: abort on first failure)")
-    parser.add_argument("--retries", type=_retry_count, default=0,
+    parser.add_argument("--retries", type=_count, default=0,
                         metavar="N",
                         help="re-issue a failing design point up to N "
                              "extra attempts (default 0)")
@@ -492,34 +508,27 @@ def config_from_args(args):
                      background_traffic=args.background_traffic)
 
 
-def cmd_list(_args, out):
-    """``repro list``: table of available workloads."""
-    rows = []
-    for name in workload_names():
-        wl = get_workload(name)
-        ddg = cached_ddg(name)
-        rows.append([name, wl.description, ddg.num_nodes,
-                     ddg.footprint_bytes()])
-    out(format_table(["workload", "description", "trace_nodes",
-                      "footprint_B"], rows))
-    return 0
-
-
 def cmd_workloads(args, out):
-    """``repro workloads``: cheap sweepable-workload enumeration.
+    """``repro workloads``: sweepable-workload enumeration.
 
-    Unlike ``repro list`` this never builds a trace, so it is safe to
-    run against a large registry (or from a served deployment's cron);
-    the ``source`` column separates the builtin suite from dynamically
+    Without ``--sizes`` this never builds a trace, so it is safe to run
+    against a large registry (or from a served deployment's cron); the
+    ``source`` column separates the builtin suite from dynamically
     registered frontend kernels.
     """
     from repro.workloads.registry import workload_source
     _load_kernel_files(args)
+    headers = ["workload", "description", "source"]
+    if args.sizes:
+        headers += ["trace_nodes", "footprint_B"]
     rows = []
     for name in workload_names():
-        wl = get_workload(name)
-        rows.append([name, wl.description, workload_source(name)])
-    out(format_table(["workload", "description", "source"], rows))
+        row = [name, get_workload(name).description, workload_source(name)]
+        if args.sizes:
+            ddg = cached_ddg(name)
+            row += [ddg.num_nodes, ddg.footprint_bytes()]
+        rows.append(row)
+    out(format_table(headers, rows))
     return 0
 
 
@@ -559,13 +568,29 @@ def cmd_trace_kernel(args, out):
 
 
 def cmd_run(args, out):
-    """``repro run``: one offload, metrics + breakdown + stats."""
-    _resolve_workload(args)
+    """``repro run``: one offload, metrics + breakdown + stats.
+
+    The observers asked for attach to the same run: ``--profile`` the
+    event-loop profiler, ``--stats`` the full stats registry and
+    ``--timeline`` a Chrome trace_event export whose instant markers are
+    the enabled ``--debug-flags`` events.
+    """
+    _resolve_workloads(args, [args.workload])
     design = design_from_args(args)
     checker = _checker_from_args(args)
-    with _debug_flags(args):
-        result = run_design(args.workload, design, config_from_args(args),
-                            check=checker if checker is not None else False)
+    profiler = registry = None
+    with _debug_flags(args, record=args.timeline is not None) as events:
+        soc = SoC(args.workload, design, config_from_args(args),
+                  check=checker if checker is not None else False)
+        if args.profile is not None:
+            from repro.sim.profiling import EventProfiler
+            profiler = EventProfiler()
+            soc.sim.queue.set_profiler(profiler)
+        if args.stats is not None:
+            from repro.obs.stats import StatRegistry
+            registry = StatRegistry()
+            soc.reg_stats(registry)
+        result = soc.run()
     out(f"workload : {args.workload}")
     out(f"design   : {design!r}")
     out(f"time     : {result.time_us:.2f} us  "
@@ -580,71 +605,45 @@ def cmd_run(args, out):
     for key, value in sorted(result.stats.items()):
         if value is not None:
             out(f"  {key:20s} {value}")
-    if checker is not None:
-        audit = checker.last_audit or {}
+    _print_check(out, checker, args.check_report)
+    if profiler is not None:
         out("")
-        out(f"check    : clean ({checker.invariant_checks} invariant "
-            f"checks, {audit.get('components_audited', 0)} components "
-            f"audited, 0 leaks)")
-        if args.check_report:
-            checker.dump_json(args.check_report)
-            out(f"wrote health report to {args.check_report}")
-    return 0
-
-
-def cmd_profile(args, out):
-    """``repro profile``: one offload under the event-loop profiler,
-    reporting per-component event counts and callback wall time."""
-    from repro.sim.profiling import EventProfiler
-    _resolve_workload(args)
-    design = design_from_args(args)
-    profiler = EventProfiler()
-    checker = _checker_from_args(args)
-    with _debug_flags(args):
-        result = run_design(args.workload, design, config_from_args(args),
-                            profiler=profiler,
-                            check=checker if checker is not None else False)
-    out(f"workload : {args.workload}")
-    out(f"design   : {design!r}")
-    out(f"time     : {result.time_us:.2f} us  "
-        f"({result.accel_cycles} accelerator cycles)")
-    out("")
-    out(profiler.report(top=args.top))
+        out(profiler.report(top=args.profile or None))
+    if args.stats is True:
+        out("")
+        out(registry.dump_text())
+    elif registry is not None:
+        _emit_json(out, registry.to_json(), args.stats,
+                   f"{len(registry)} stats")
+    if args.timeline:
+        from repro.obs.timeline import soc_timeline
+        _write_timeline(out, soc_timeline(soc, trace_events=events), events,
+                        args.timeline)
     return 0
 
 
 def cmd_pipeline(args, out):
     """``repro pipeline``: chain N accelerators through handoff buffers."""
-    import json as json_mod
-
     from repro.core.pipeline import AcceleratorPipeline
     from repro.errors import ConfigError
     from repro.units import ticks_to_us
 
-    for name in args.workloads:
-        _resolve_workload(args, name)
+    _resolve_workloads(args, args.workloads)
     design = DesignPoint(
         lanes=args.lanes, partitions=args.partitions,
         mem_interface="dma" if args.handoff == "dma" else "cache")
     checker = _checker_from_args(args)
-    events = []
-    with _debug_flags(args) as trace:
-        if args.trace:
-            trace.start_recording()
+    with _debug_flags(args, record=args.trace is not None) as events:
         try:
-            try:
-                pipe = AcceleratorPipeline(
-                    [(w, design) for w in args.workloads],
-                    handoff=args.handoff, buffer_bytes=args.buffer_bytes,
-                    double_buffer=args.double_buffer,
-                    cfg=config_from_args(args),
-                    check=checker if checker is not None else False)
-            except ConfigError as exc:
-                raise SystemExit(str(exc))
-            result = pipe.run()
-        finally:
-            if args.trace:
-                events = trace.stop_recording()
+            pipe = AcceleratorPipeline(
+                [(w, design) for w in args.workloads],
+                handoff=args.handoff, buffer_bytes=args.buffer_bytes,
+                double_buffer=args.double_buffer,
+                cfg=config_from_args(args),
+                check=checker if checker is not None else False)
+        except ConfigError as exc:
+            raise SystemExit(str(exc))
+        result = pipe.run()
 
     out(f"pipeline : {' -> '.join(args.workloads)}")
     ring = (f", {args.buffer_bytes} B ring"
@@ -670,37 +669,20 @@ def cmd_pipeline(args, out):
         out("")
         out(f"speedup  : {pipe.speedup_vs_serial():.3f}x vs serial "
             f"offloads (sum of solo runs / pipeline makespan)")
-    if checker is not None:
-        audit = checker.last_audit or {}
-        out("")
-        out(f"check    : clean ({checker.invariant_checks} invariant "
-            f"checks, {audit.get('components_audited', 0)} components "
-            f"audited, 0 leaks)")
-        if args.check_report:
-            checker.dump_json(args.check_report)
-            out(f"wrote health report to {args.check_report}")
+    _print_check(out, checker, args.check_report)
     if args.trace:
         from repro.obs.timeline import pipeline_timeline
-        builder = pipeline_timeline(pipe, trace_events=events)
-        num_events = builder.write(args.trace)
-        out(f"timeline : {len(builder.rows())} rows, {num_events} events "
-            f"({len(events)} trace markers) -> {args.trace}")
+        _write_timeline(out, pipeline_timeline(pipe, trace_events=events),
+                        events, args.trace)
     if args.json:
-        payload = json_mod.dumps(result.to_dict(), indent=2,
-                                 sort_keys=True)
-        if args.json == "-":
-            out(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload + "\n")
-            out(f"wrote {args.json}")
+        _emit_json(out, result.to_dict(), args.json, "the pipeline result")
     return 0
 
 
 def cmd_sweep(args, out):
     """``repro sweep``: both design spaces, Pareto + optima."""
     from repro.core.sweeppool import SweepMetrics
-    _resolve_workload(args)
+    _resolve_workloads(args, [args.workload])
     cfg = config_from_args(args)
     sweep = sweep_options_from_args(args)
     metrics = SweepMetrics()
@@ -833,14 +815,9 @@ def cmd_calibrate(args, out):
     """``repro calibrate``: fit + persist the fast tier per workload."""
     from repro.core.calibrate import calibrate_workload
     from repro.core.sweeppool import SweepMetrics
-    _load_kernel_files(args)
+    _resolve_workloads(args, args.workloads)
     sweep = sweep_options_from_args(args)
     cache_dir = sweep["cache_dir"]
-    available = workload_names()
-    unknown = [w for w in args.workloads if w not in available]
-    if unknown:
-        raise SystemExit(f"unknown workload(s): {', '.join(unknown)} "
-                         f"(see 'repro workloads')")
     metrics = SweepMetrics()
     for workload in args.workloads:
         cal = calibrate_workload(workload, density=args.density,
@@ -885,73 +862,6 @@ def _print_resume_summary(out, workload, cfg, cache_dir, spaces):
                 f"of {doc['points']} points")
 
 
-def cmd_stats(args, out):
-    """``repro stats``: one offload, full stats-registry dump.
-
-    Prints a gem5-style ``stats.txt`` block; ``--json PATH`` additionally
-    writes the registry as structured JSON (``-`` prints it).
-    """
-    import json as _json
-
-    from repro.core.soc import SoC
-    from repro.obs.stats import StatRegistry
-    _resolve_workload(args)
-    design = design_from_args(args)
-    registry = StatRegistry()
-    checker = _checker_from_args(args)
-    with _debug_flags(args):
-        soc = SoC(args.workload, design, config_from_args(args),
-                  check=checker if checker is not None else False)
-        soc.reg_stats(registry)
-        result = soc.run()
-    out(f"workload : {args.workload}")
-    out(f"design   : {design!r}")
-    out(f"time     : {result.time_us:.2f} us  "
-        f"({result.accel_cycles} accelerator cycles)")
-    if not args.no_text:
-        out("")
-        out(registry.dump_text())
-    if args.json:
-        if args.json == "-":
-            out(_json.dumps(registry.to_json(), indent=2, sort_keys=True))
-        else:
-            registry.dump_json(args.json)
-            out(f"wrote {len(registry)} stats to {args.json}")
-    return 0
-
-
-def cmd_trace(args, out):
-    """``repro trace``: one offload, Chrome trace_event timeline export.
-
-    Busy intervals of every engine become timeline rows; any enabled
-    ``--debug-flags`` become instant markers on per-flag rows.  Open the
-    output in Perfetto (ui.perfetto.dev) or ``chrome://tracing``.
-    """
-    from repro.core.soc import SoC
-    from repro.obs.timeline import soc_timeline
-    _resolve_workload(args)
-    design = design_from_args(args)
-    checker = _checker_from_args(args)
-    with _debug_flags(args) as trace:
-        trace.start_recording()
-        try:
-            soc = SoC(args.workload, design, config_from_args(args),
-                      check=checker if checker is not None else False)
-            result = soc.run()
-        finally:
-            events = trace.stop_recording()
-    builder = soc_timeline(soc, trace_events=events)
-    num_events = builder.write(args.out)
-    out(f"workload : {args.workload}")
-    out(f"design   : {design!r}")
-    out(f"time     : {result.time_us:.2f} us  "
-        f"({result.accel_cycles} accelerator cycles)")
-    out(f"timeline : {len(builder.rows())} rows, {num_events} events "
-        f"({len(events)} trace markers) -> {args.out}")
-    out("view     : load in https://ui.perfetto.dev or chrome://tracing")
-    return 0
-
-
 def cmd_validate(args, out):
     """``repro validate``: Figure 4's model-vs-sim errors."""
     from repro.core.validation import validate_suite
@@ -992,7 +902,6 @@ def cmd_figure(args, out):
 
 def _render_figure(name, data):
     """A compact text rendering; the benchmarks print richer tables."""
-    from repro.core.reporting import breakdown_table
     if name == "fig2a":
         return breakdown_table([data], title="Figure 2a")
     if name == "fig2b":
@@ -1040,7 +949,6 @@ def cmd_serve(args, out):
 
 def cmd_query(args, out):
     """``repro query``: one request against a running ``repro serve``."""
-    import json as _json
     import os
 
     from repro.serve.client import ServiceClient, ServiceError
@@ -1074,13 +982,8 @@ def cmd_query(args, out):
     except OSError as exc:
         raise SystemExit(f"cannot reach {server}: {exc}")
     _print_query_summary(args.kind, response, out)
-    if args.json == "-":
-        out(_json.dumps(response, indent=2, sort_keys=True))
-    elif args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(response, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out(f"wrote response to {args.json}")
+    if args.json:
+        _emit_json(out, response, args.json, "response")
     return 0
 
 
@@ -1125,14 +1028,10 @@ def _print_query_summary(kind, response, out):
 
 
 COMMANDS = {
-    "list": cmd_list,
     "workloads": cmd_workloads,
     "trace-kernel": cmd_trace_kernel,
     "run": cmd_run,
     "pipeline": cmd_pipeline,
-    "profile": cmd_profile,
-    "stats": cmd_stats,
-    "trace": cmd_trace,
     "sweep": cmd_sweep,
     "calibrate": cmd_calibrate,
     "validate": cmd_validate,

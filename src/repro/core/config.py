@@ -56,6 +56,17 @@ def _boolean(name, value):
     raise ConfigError(f"{name} must be a bool, got {value!r}")
 
 
+#: Largest value of each integer design knob (the smallest is 1).  Each
+#: sits far above the swept range of PARAMETER_TABLE and bounds what
+#: one design can make the simulator allocate: a cache builds one dict
+#: per set, the scheduler keeps state per lane and per memory port.
+INTEGER_CEILINGS = {"lanes": 256, "partitions": 256, "cache_size_kb": 1024,
+                    "cache_line": 1024, "cache_ports": 64,
+                    "cache_assoc": 64, "spad_ports": 64}
+#: Largest forced initiation interval under modulo pipelining.
+II_CEILING = 1024
+
+
 class DesignPoint:
     """One accelerator microarchitecture configuration."""
 
@@ -105,8 +116,12 @@ class DesignPoint:
 
     def validate(self):
         """Raise ConfigError on out-of-range parameters."""
-        if self.lanes < 1 or self.partitions < 1:
-            raise ConfigError("lanes and partitions must be >= 1")
+        for name, ceiling in INTEGER_CEILINGS.items():
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if value > ceiling:
+                raise ConfigError(f"{name} must be <= {ceiling}, got {value}")
         if self.mem_interface not in ("dma", "cache"):
             raise ConfigError(
                 f"mem_interface must be 'dma' or 'cache', "
@@ -117,19 +132,14 @@ class DesignPoint:
                 f"got {self.pipelining!r}")
         if self.ii != "auto" and (not isinstance(self.ii, int)
                                   or isinstance(self.ii, bool)
-                                  or self.ii < 1):
+                                  or not 1 <= self.ii <= II_CEILING):
             raise ConfigError(
-                f"ii must be 'auto' or an integer >= 1, got {self.ii!r}")
-        for name in ("cache_size_kb", "cache_line", "cache_assoc"):
-            if getattr(self, name) < 1:
-                raise ConfigError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+                f"ii must be 'auto' or an integer in [1, {II_CEILING}], "
+                f"got {self.ii!r}")
         if self.cache_size_kb * 1024 % (self.cache_line * self.cache_assoc):
             raise ConfigError(
                 f"cache {self.cache_size_kb}KB not divisible by "
                 f"line({self.cache_line}) x assoc({self.cache_assoc})")
-        if self.cache_ports < 1 or self.spad_ports < 1:
-            raise ConfigError("port counts must be >= 1")
         if self.prefetcher not in ("none", "stride"):
             raise ConfigError(f"unknown prefetcher {self.prefetcher!r}")
 

@@ -18,9 +18,9 @@ for the reproduction's SoC:
   ``chrome://tracing`` (one row per engine: CPU, DMA, bus, per-bank
   DRAM, accelerator datapath).
 
-CLI entry points: ``repro stats <workload>``, ``repro trace <workload>
--o out.json``, ``repro run --debug-flags bus,dram`` and the
-``REPRO_DEBUG_FLAGS`` environment variable.
+CLI entry points: the ``repro run <workload>`` observers ``--stats
+[PATH|-]`` and ``--timeline out.json``, ``repro run --debug-flags
+bus,dram`` and the ``REPRO_DEBUG_FLAGS`` environment variable.
 """
 
 from repro.obs.stats import (

@@ -14,7 +14,7 @@ The profiler is attached to an :class:`~repro.sim.kernel.EventQueue` via
     soc.run()
     print(profiler.report())
 
-CLI: ``repro profile <workload> [design flags]`` and
+CLI: ``repro run <workload> --profile [N]`` and
 ``repro sweep <workload> --profile``.
 """
 

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import os
+
 import pytest
 
 from repro.core import sweeppool
@@ -17,6 +19,33 @@ def _cold_sweep_pool():
     """
     yield
     sweeppool.shutdown_pool()
+
+
+@pytest.fixture
+def clean_registry():
+    """Keep dynamic workload registrations from leaking across tests.
+
+    The suite-wide invariant that the registry holds exactly the 19
+    builtin MachSuite kernels (asserted by the coverage tests) must
+    survive tests that register frontend kernels, directly, through
+    ``--kernel`` or through a server: this snapshots the dynamic state
+    and restores it afterwards.
+    """
+    from repro.workloads import registry
+    before_instances = dict(registry._INSTANCES)
+    before_paths = set(registry._LOADED_KERNEL_PATHS)
+    before_env = os.environ.get(registry.ENV_KERNEL_PATHS)
+    yield registry
+    for name in list(registry._INSTANCES):
+        if name not in before_instances:
+            registry.unregister_workload(name)
+    registry._INSTANCES.update(before_instances)
+    registry._LOADED_KERNEL_PATHS.clear()
+    registry._LOADED_KERNEL_PATHS.update(before_paths)
+    if before_env is None:
+        os.environ.pop(registry.ENV_KERNEL_PATHS, None)
+    else:
+        os.environ[registry.ENV_KERNEL_PATHS] = before_env
 
 
 @pytest.fixture

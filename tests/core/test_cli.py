@@ -1,15 +1,39 @@
 """Command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, design_from_args, main
 from repro.core.sweep import dma_design_space
+
+KERNEL_FILE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "examples", "frontend_kernel.py")
 
 
 def run_cli(argv):
     lines = []
     code = main(argv, out=lines.append)
     return code, "\n".join(str(line) for line in lines)
+
+
+def table_rows(text):
+    """``{first cell: cells}`` of a format_table block (the header and
+    rule lines dropped); cells split on runs of two spaces."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("--"))
+    rows = {}
+    for line in lines[start + 1:]:
+        cells = [c.strip() for c in line.split("  ") if c.strip()]
+        rows[cells[0]] = cells
+    return rows
+
+
+def timeline_rows(path):
+    doc = json.loads(path.read_text())
+    return {e["args"]["name"] for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"}
 
 
 class TestParser:
@@ -35,11 +59,47 @@ class TestParser:
 
 
 class TestCommands:
-    def test_list(self):
-        code, text = run_cli(["list"])
+    def test_workloads_lists_registry_without_traces(self, monkeypatch):
+        from repro import cli
+
+        def no_traces(name):
+            raise AssertionError(f"built a trace for {name}")
+        monkeypatch.setattr(cli, "cached_ddg", no_traces)
+        code, text = run_cli(["workloads"])
         assert code == 0
-        assert "aes-aes" in text
-        assert "fft-transpose" in text
+        rows = table_rows(text)
+        assert rows["aes-aes"][-1] == "builtin"
+        assert "fft-transpose" in rows
+
+    def test_workloads_marks_frontend_kernels(self, clean_registry):
+        code, text = run_cli(["workloads", "--kernel", KERNEL_FILE])
+        assert code == 0
+        rows = table_rows(text)
+        assert rows["fir128"][-1] == "frontend"
+        assert rows["gemm-ncubed"][-1] == "builtin"
+
+    def test_workloads_sizes(self):
+        from repro.workloads import cached_ddg, workload_names
+        code, text = run_cli(["workloads", "--sizes"])
+        assert code == 0
+        rows = table_rows(text)
+        assert "aes-aes" in rows and "fft-transpose" in rows
+        assert set(rows) == set(workload_names())
+        for name, cells in rows.items():
+            ddg = cached_ddg(name)
+            assert cells[-2:] == [str(ddg.num_nodes),
+                                  str(ddg.footprint_bytes())], name
+
+    def test_trace_kernel_histogram(self, clean_registry):
+        code, text = run_cli(["trace-kernel", KERNEL_FILE, "--histogram"])
+        assert code == 0
+        assert "kernel   : fir128" in text
+        assert "verified against the Python reference" in text
+        ops = [line for line in text.splitlines()
+               if line.startswith("  ops    : ")]
+        assert ops and all("=" in op for op in ops)
+        assert "fmul=" in ops[0]
+        assert "kernel(s) registered" in text
 
     def test_run_dma(self):
         code, text = run_cli(["run", "aes-aes", "--lanes", "2",
@@ -106,8 +166,8 @@ class TestCommands:
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
-    def test_stats_text_dump(self):
-        code, text = run_cli(["stats", "gemm-ncubed"])
+    def test_run_stats_text_dump(self):
+        code, text = run_cli(["run", "gemm-ncubed", "--stats"])
         assert code == 0
         assert "Begin Simulation Statistics" in text
         for name in ("soc.bus.bytes", "soc.dram.row_hit_rate",
@@ -115,74 +175,105 @@ class TestCommands:
                      "accel0.sched.nodes", "cpu0.lines_flushed"):
             assert name in text, name
 
-    def test_stats_json_file(self, tmp_path):
-        import json
+    def test_run_stats_json_file(self, tmp_path):
         path = tmp_path / "stats.json"
-        code, text = run_cli(["stats", "gemm-ncubed", "--no-text",
-                              "--json", str(path)])
+        code, text = run_cli(["run", "gemm-ncubed", "--stats", str(path)])
         assert code == 0
         assert "Begin Simulation Statistics" not in text
         doc = json.loads(path.read_text())
         assert doc["soc.sim.events"] > 0
         assert isinstance(doc["soc.dram.bank_conflict_ticks"], dict)
+        assert f"wrote {len(doc)} stats to {path}" in text
 
-    def test_stats_json_stdout(self):
-        code, text = run_cli(["stats", "gemm-ncubed", "--no-text",
-                              "--json", "-"])
+    def test_run_stats_json_stdout(self):
+        code, text = run_cli(["run", "gemm-ncubed", "--stats", "-"])
         assert code == 0
-        import json
-        doc = json.loads(text[text.index("{"):])
+        assert "Begin Simulation Statistics" not in text
+        doc = json.loads(text[text.index("\n{\n"):])
         assert "soc.bus.requests" in doc
 
-    def test_stats_cache_design_covers_tlb(self):
-        code, text = run_cli(["stats", "gemm-ncubed", "--mem", "cache",
-                              "--cache-size", "4"])
+    def test_run_stats_cache_design_covers_tlb(self):
+        code, text = run_cli(["run", "gemm-ncubed", "--stats", "--mem",
+                              "cache", "--cache-size", "4"])
         assert code == 0
         assert "accel0.tlb.miss_rate" in text
         assert "accel0.cache.misses" in text
 
-    def test_trace_export(self, tmp_path):
-        import json
+    def test_run_timeline_export(self, tmp_path):
         path = tmp_path / "trace.json"
-        code, text = run_cli(["trace", "gemm-ncubed", "-o", str(path),
+        code, text = run_cli(["run", "gemm-ncubed", "--timeline", str(path),
                               "--debug-flags", "dma,sched"])
         assert code == 0
         assert "perfetto" in text
-        doc = json.loads(path.read_text())
-        events = doc["traceEvents"]
-        rows = {e["args"]["name"] for e in events
-                if e["ph"] == "M" and e["name"] == "thread_name"}
+        events = json.loads(path.read_text())["traceEvents"]
+        rows = timeline_rows(path)
         assert len(rows) >= 5
         assert "accel0.dma" in rows
         assert "trace.dma" in rows
         assert any(e["ph"] == "X" for e in events)
         assert any(e["ph"] == "i" for e in events)
 
-    def test_trace_flags_do_not_leak(self, tmp_path):
+    def test_run_timeline_flags_do_not_leak(self, tmp_path):
         from repro.obs import trace as obs_trace
-        code, _text = run_cli(["trace", "gemm-ncubed", "-o",
+        code, _text = run_cli(["run", "gemm-ncubed", "--timeline",
                                str(tmp_path / "t.json"),
                                "--debug-flags", "all"])
         assert code == 0
         assert obs_trace.active_flags() == []
 
-    @pytest.mark.parametrize("command", ["run", "stats", "trace",
-                                         "profile"])
-    def test_run_rejects_unknown_debug_flag(self, command, tmp_path):
+    @pytest.mark.parametrize("observers", [
+        [], ["--stats"], ["--timeline", "t.json"], ["--profile"]],
+        ids=["plain", "stats", "timeline", "profile"])
+    def test_run_rejects_unknown_debug_flag(self, observers, tmp_path,
+                                            monkeypatch):
         from repro.errors import ConfigError
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(ConfigError, match="bogus"):
-            run_cli([command, "aes-aes", "--debug-flags", "bogus"]
-                    + (["-o", str(tmp_path / "t.json")]
-                       if command == "trace" else []))
+            run_cli(["run", "aes-aes", "--debug-flags", "bogus"]
+                    + observers)
+        assert not (tmp_path / "t.json").exists()
 
-    def test_profile_honours_debug_flags(self, capsys):
-        code, _text = run_cli(["profile", "aes-aes", "--debug-flags", "dma"])
+    def test_run_profile_honours_debug_flags(self, capsys):
+        code, text = run_cli(["run", "aes-aes", "--profile",
+                              "--debug-flags", "dma"])
         assert code == 0
         assert ": dma0: " in capsys.readouterr().err
+        assert "DatapathScheduler._issue_pass" in text
+
+    def test_run_profile_top(self):
+        code, text = run_cli(["run", "aes-aes", "--profile", "2"])
+        assert code == 0
+        lines = text.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.startswith("component "))
+        assert lines[header + 3].startswith("total ")
+
+    def test_run_observers_compose(self, tmp_path):
+        # One run with all three observers reports what a plain run and
+        # each single-observer run report.  No registry entry depends on
+        # host wall time, so the stats compare whole.
+        flags = ["--debug-flags", "dma,sched"]
+        both = (tmp_path / "all-stats.json", tmp_path / "all-trace.json")
+        code, plain = run_cli(["run", "gemm-ncubed"])
+        assert code == 0
+        code, text = run_cli(["run", "gemm-ncubed", "--profile", "5",
+                              "--stats", str(both[0]),
+                              "--timeline", str(both[1])] + flags)
+        assert code == 0
+        assert text.startswith(plain + "\n")
+        assert "DatapathScheduler._issue_pass" in text
+        code, _ = run_cli(["run", "gemm-ncubed", "--stats",
+                           str(tmp_path / "stats.json")])
+        assert code == 0
+        code, _ = run_cli(["run", "gemm-ncubed", "--timeline",
+                           str(tmp_path / "trace.json")] + flags)
+        assert code == 0
+        assert json.loads(both[0].read_text()) == \
+            json.loads((tmp_path / "stats.json").read_text())
+        assert timeline_rows(both[1]) == \
+            timeline_rows(tmp_path / "trace.json")
 
     def test_sweep_dump_stats(self, tmp_path):
-        import json
-        import os
         code, _text = run_cli(["sweep", "aes-aes", "--density", "quick",
                                "--no-cache", "--dump-stats", str(tmp_path)])
         assert code == 0
@@ -207,7 +298,6 @@ class TestCommands:
         assert "0 leaks" in text
 
     def test_run_check_report(self, tmp_path):
-        import json
         path = tmp_path / "health.json"
         # --check-report implies --check.
         code, text = run_cli(["run", "aes-aes", "--lanes", "2",
@@ -238,8 +328,8 @@ class TestCommands:
         assert code == 0
         assert "sweep metrics" in text
 
-    def test_stats_with_check_registers_counters(self):
-        code, text = run_cli(["stats", "gemm-ncubed", "--check"])
+    def test_run_stats_with_check_registers_counters(self):
+        code, text = run_cli(["run", "gemm-ncubed", "--stats", "--check"])
         assert code == 0
         assert "check.invariant_checks" in text
         assert "check.audits" in text
@@ -461,7 +551,6 @@ class TestQueryCLI:
         assert "edp_optimal" in text
 
     def test_query_json_file(self, live_server, tmp_path):
-        import json
         path = tmp_path / "health.json"
         code, text = run_cli(["query", "health", "--server", live_server,
                               "--json", str(path)])
@@ -518,7 +607,6 @@ class TestPipelineCommand:
         assert "aliased regions" in text
 
     def test_pipeline_json_export(self, tmp_path):
-        import json
         path = tmp_path / "result.json"
         code, _text = run_cli(["pipeline", "aes-aes", "kmp", "viterbi",
                                "--buffer-bytes", "256",

@@ -4,7 +4,8 @@ import inspect
 
 import pytest
 
-from repro.core.config import PARAMETER_TABLE, DesignPoint, SoCConfig
+from repro.core.config import (II_CEILING, INTEGER_CEILINGS, PARAMETER_TABLE,
+                               DesignPoint, SoCConfig)
 from repro.errors import ConfigError
 
 
@@ -156,6 +157,86 @@ class TestIntegerFields:
                                                    partitions=4.0))
         ints = run_design("aes-aes", DesignPoint(lanes=4, partitions=4))
         assert results_to_json([floats]) == results_to_json([ints])
+
+
+def _drawn_designs():
+    """Every design a sweep grid, figure or scenario of the paper draws."""
+    from repro.core import figures, scenarios
+    from repro.core.sweep import (cache_design_space, dma_design_space,
+                                  ii_design_space)
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    designs = []
+    for density in ("quick", "standard", "full"):
+        dma = dma_design_space(density)
+        designs += dma + cache_design_space(density)
+        designs += [d for base in dma for d in ii_design_space(base)]
+        for scenario in scenarios.SCENARIOS.values():
+            if scenario.mem_interface != "isolated":
+                space = scenario.design_space(density)
+                designs += [scenarios.naive_design_for("aes-aes", d,
+                                                       scenario)
+                            for d in space]
+    designs += ii_design_space(iis=default(figures.fig11, "iis"))
+    lanes = (set(default(figures.fig6b, "lanes_list"))
+             | set(default(figures.fig7, "lanes_list"))
+             | {16, default(figures.fig6a, "lanes")})
+    for n in sorted(lanes):
+        designs.append(DesignPoint(lanes=n, partitions=n))
+        designs += [DesignPoint(lanes=n, mem_interface="cache",
+                                cache_size_kb=size, cache_ports=4,
+                                perfect_memory=perfect)
+                    for size in default(figures.saturating_cache_size,
+                                        "sizes")
+                    for perfect in (False, True)]
+    return designs
+
+
+class TestCeilings:
+    """Every integer knob has an upper bound, so one request cannot make
+    the simulator allocate without limit."""
+
+    def test_every_drawn_design_is_within_the_ceilings(self):
+        designs = _drawn_designs()
+        assert len(designs) > 1000
+        for d in designs:
+            DesignPoint.from_record(d.to_record())
+            for name, ceiling in INTEGER_CEILINGS.items():
+                assert getattr(d, name) <= ceiling, d
+            assert d.ii == "auto" or d.ii <= II_CEILING, d
+
+    def test_parameter_table_is_within_the_ceilings(self):
+        for table_key, field in (("datapath_lanes", "lanes"),
+                                 ("scratchpad_partitions", "partitions"),
+                                 ("cache_size_kb", "cache_size_kb"),
+                                 ("cache_line_bytes", "cache_line"),
+                                 ("cache_ports", "cache_ports"),
+                                 ("cache_assoc", "cache_assoc")):
+            assert max(PARAMETER_TABLE[table_key]) <= INTEGER_CEILINGS[field]
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_CEILINGS))
+    def test_ceiling_itself_is_accepted(self, field):
+        d = DesignPoint(mem_interface="cache",
+                        **{field: INTEGER_CEILINGS[field]})
+        assert getattr(d, field) == INTEGER_CEILINGS[field]
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_CEILINGS))
+    def test_value_above_ceiling_rejected(self, field):
+        # Rejected at construction, before any cache or lane state is
+        # built from the value.
+        with pytest.raises(ConfigError, match=f"{field} must be <= "):
+            DesignPoint(mem_interface="cache",
+                        **{field: INTEGER_CEILINGS[field] + 1})
+        with pytest.raises(ConfigError, match=f"{field} must be <= "):
+            DesignPoint(**{field: 10 ** 9})
+
+    def test_forced_ii_ceiling(self):
+        assert DesignPoint(pipelining="modulo", ii=II_CEILING).ii == \
+            II_CEILING
+        with pytest.raises(ConfigError, match="ii must be"):
+            DesignPoint(pipelining="modulo", ii=II_CEILING + 1)
 
 
 BOOLEAN_FIELDS = ("pipelined_dma", "dma_triggered_compute", "double_buffer",

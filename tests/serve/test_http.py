@@ -147,6 +147,11 @@ class TestErrorMapping:
          "cache_size_kb must be"),
         ({"mem_interface": "cache", "cache_size_kb": -4},
          "cache_size_kb must be"),
+        # Ceilings: refused before the service builds a cache or lanes.
+        ({"mem_interface": "cache", "cache_size_kb": 10 ** 9},
+         "cache_size_kb must be <="),
+        ({"lanes": 10 ** 9}, "lanes must be <="),
+        ({"pipelining": "modulo", "ii": 10 ** 9}, "ii must be"),
     ])
     def test_invalid_design_is_400_and_server_lives(self, endpoint, design,
                                                     message):
@@ -180,6 +185,8 @@ class TestErrorMapping:
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=30)
+        # The error holds the response socket open until closed.
+        info.value.close()
         assert info.value.code == 400
 
     def test_unknown_get_endpoint_is_404(self, endpoint):
@@ -218,24 +225,6 @@ FIR_SOURCE = textwrap.dedent("""\
                 acc = acc + x[i + t] * h[t]
             y[i] = acc
     """)
-
-
-@pytest.fixture
-def clean_registry():
-    """Undo dynamic registrations made through the server in-process."""
-    from repro.workloads import registry
-    before = set(registry._INSTANCES)
-    paths = set(registry._LOADED_KERNEL_PATHS)
-    env = os.environ.get(registry.ENV_KERNEL_PATHS)
-    yield
-    for name in set(registry._INSTANCES) - before:
-        registry.unregister_workload(name)
-    registry._LOADED_KERNEL_PATHS.clear()
-    registry._LOADED_KERNEL_PATHS.update(paths)
-    if env is None:
-        os.environ.pop(registry.ENV_KERNEL_PATHS, None)
-    else:
-        os.environ[registry.ENV_KERNEL_PATHS] = env
 
 
 class TestKernelEndpoint:
