@@ -8,12 +8,15 @@ the same tick, once scheduled ahead of them and once behind them:
 * a ready-bit ``set_range`` that wakes a parked load;
 * a cache-miss fill whose waiter completes a node;
 * a TLB walk whose return resumes a parked access;
-* a modulo II gate that opens the next round.
+* a modulo II gate that opens the next round;
+* a ready-bit ``set_range`` between two completion batches that were
+  scheduled by different passes for one tick.
 
 The pinned numbers (tick of every memory access, ``compute_ticks``,
 reservation and bank conflicts) were taken from the simulator before the
-datapath ran its cycles inline, so any change to same-tick order shows
-up as a changed pin.  Each scenario also runs in half-cycle steps of
+datapath ran its cycles inline (the batch pair's, before it ran two
+same-tick batches back to back in one pass), so any change to same-tick
+order shows up as a changed pin.  Each scenario also runs in half-cycle steps of
 ``queue.run(until=...)``: stopping mid-datapath must leave the same
 state at every step and change nothing after.
 """
@@ -220,11 +223,40 @@ def _ii_gate(early):
     return _spad_world(tb, lanes=2, partitions=2, pipelining="modulo", ii=3)
 
 
+def _batch_pair(early):
+    """One lane: a multiply issued at cycle 0 and the last of four chained
+    adds, issued at cycle 3, complete on one tick, 4P, in two batches from
+    different passes; each feeds a store.  A load of ``a[16]`` parks on an
+    unfilled line that fills at 4P.  With ``early`` the fill is scheduled
+    ahead of both batches, so they run back to back; otherwise it is
+    scheduled (from a relay at P/2) between the two batches' sequence
+    numbers, and the resumed load queues between the two stores."""
+    tb = TraceBuilder("same-tick-batches")
+    tb.array("a", 32, 4, kind="input", init=[1] * 32)
+    tb.array("out", 4, 4, kind="output")
+    tb.store("out", 0, tb.fmul(2.0, 3.0))
+    x = tb.add(1, 2)
+    for k in range(3):
+        x = tb.add(x, k)
+    tb.store("out", 1, x)
+    tb.store("out", 2, tb.load("a", 16))
+    bits = ReadyBits("a", 128, granularity=64)
+    bits.set_range(0, 64)
+    sim, sched, parts = _spad_world(tb, ready_bits={"a": bits})
+    if early:
+        sim.schedule_at(4 * P, bits.set_range, 64, 64)
+    else:
+        sim.schedule_at(P // 2, sim.schedule_at, 4 * P, bits.set_range,
+                        64, 64)
+    return sim, sched, parts
+
+
 SCENARIOS = {
     "ready-bit": _ready_bit,
     "miss-fill": _miss_fill,
     "tlb-walk": _tlb_walk,
     "ii-gate": _ii_gate,
+    "batch-pair": _batch_pair,
 }
 
 
@@ -324,6 +356,14 @@ PINNED = {
                          "aaaaaa" + "oooooo"),
         "compute_ticks": 14 * P, "reservation_conflicts": 0,
         "bank_conflicts": 0, "loads": 6, "stores": 6},
+    ("batch-pair", True): {
+        "accesses": _mem((4, 5, 6, 7), ("a", "out", "out", "out")),
+        "compute_ticks": 8 * P, "reservation_conflicts": 0,
+        "bank_conflicts": 0, "loads": 1, "stores": 3},
+    ("batch-pair", False): {
+        "accesses": _mem((4, 5, 6, 7), ("out", "a", "out", "out")),
+        "compute_ticks": 8 * P, "reservation_conflicts": 0,
+        "bank_conflicts": 0, "loads": 1, "stores": 3},
 }
 # The late fill lands behind the batch and the pass but changes nothing
 # they see; the late walk return costs the extra pass one more conflict.
@@ -345,6 +385,8 @@ STEPPED = {
     ("tlb-walk", False): "e0b885eecd744157",
     ("ii-gate", True): "236d0049976f0945",
     ("ii-gate", False): "0fd42b4450f076dc",
+    ("batch-pair", True): "32db9e530179eed9",
+    ("batch-pair", False): "77c0d7bb51d1d81f",
 }
 
 CASES = [pytest.param(name, early, id=f"{name}-{'early' if early else 'late'}")
@@ -381,7 +423,8 @@ def test_stepping_event_by_event_reaches_the_pinned_outcome(name, early):
 EVENTS = {("ready-bit", True): 15, ("ready-bit", False): 17,
           ("miss-fill", True): 18, ("miss-fill", False): 20,
           ("tlb-walk", True): 33, ("tlb-walk", False): 35,
-          ("ii-gate", True): 24, ("ii-gate", False): 32}
+          ("ii-gate", True): 24, ("ii-gate", False): 32,
+          ("batch-pair", True): 18, ("batch-pair", False): 19}
 
 
 @pytest.mark.parametrize("name,early", CASES)
