@@ -31,6 +31,14 @@ a compute bucket's issuable heads in bulk and walks the memory bucket
 (each node needs its own bank, bit or cache) only until the memory port
 saturates.  The conflicts a node-by-node scan would have counted on the
 nodes of a saturated bucket come from the bucket's sequence range.
+
+Per-lane work.  A lane's FU row counts only while its stamp is the
+current cycle: a pass resets it when it visits the lane, and tries only
+the compute classes the graph uses.  A scratchpad lane whose memory
+bucket is all its memoized blocked run is counted, not walked.  Loads and
+stores are counted where a walk accepts the access.  A completion batch
+also runs the batches due on its tick that follow it with nothing queued
+in between, then books one issue pass.
 """
 
 from bisect import bisect_left
@@ -40,7 +48,7 @@ from itertools import compress, islice
 from operator import attrgetter
 
 from repro.errors import SimulationError
-from repro.aladdin.ir import FuClass, OP_INFO, Op
+from repro.aladdin.ir import FuClass, MEMORY_OPS, OP_INFO, Op
 from repro.obs import trace
 from repro.sim.stats import IntervalTracker
 
@@ -145,30 +153,22 @@ class DatapathScheduler:
             fu_memo = ddg._fu_memo = {}
         arrays = fu_memo.get((clock.period, n))
         if arrays is None:
-            node_fu = [0] * n
-            node_ticks = [0] * n
-            node_kind = [0] * n
-            to_ticks = clock.cycles_to_ticks
-            # Per-op memo: the trace has tens of thousands of nodes but
-            # only a handful of distinct ops, so (fu, ticks, kind) is
-            # derived once per op rather than once per node.
-            op_memo = {}
-            for node in range(n):
-                op = node_ops[node]
-                cached = op_memo.get(op)
-                if cached is None:
-                    info = OP_INFO[op]
-                    kind = 1 if op == Op.LOAD else 2 if op == Op.STORE else 0
-                    cached = op_memo[op] = (_FU_INDEX[info.fu],
-                                            to_ticks(info.latency), kind)
-                node_fu[node] = cached[0]
-                node_ticks[node] = cached[1]
-                node_kind[node] = cached[2]
-            arrays = fu_memo[(clock.period, n)] = (node_fu, node_ticks,
-                                                   node_kind)
+            # Derived once per distinct op (a handful), not once per node.
+            per_op = {op: (_FU_INDEX[OP_INFO[op].fu],
+                           clock.cycles_to_ticks(OP_INFO[op].latency),
+                           1 if op == Op.LOAD else 2 if op == Op.STORE else 0)
+                      for op in set(node_ops)}
+            node_fu, node_ticks, node_kind = (
+                [per_op[op][i] for op in node_ops] for i in range(3))
+            used = set(node_fu)
+            arrays = fu_memo[(clock.period, n)] = (
+                node_fu, node_ticks, node_kind,
+                tuple(fu for fu in _COMPUTE_FUS if fu in used))
         self._node_fu = arrays[0]
         self._node_ticks = arrays[1]
         self._node_kind = arrays[2]
+        # The compute classes this graph uses: the issue pass tries no other.
+        self._compute_fus = arrays[3]
         self._fu_limits = [self.fu_per_lane.get(fu, 1) for fu in FuClass.ALL]
         self._node_lane = assignment.lane
         self._node_round = assignment.round
@@ -178,10 +178,13 @@ class DatapathScheduler:
         # wrapper) on every issue/completion.
         self._queue = sim.queue
         self._period = clock.period
-        # Per-cycle resource state.
+        # Per-cycle resource state.  A lane's FU row counts only while its
+        # stamp is the current cycle; the issue pass resets a row when it
+        # visits its lane in a later cycle, not every row every cycle.
         self._state_cycle = -1
         self._fu_zero = [0] * _NUM_FU
         self._fu_used = [[0] * _NUM_FU for _ in range(self.lanes)]
+        self._fu_stamp = [-1] * self.lanes
         # Ready nodes in all, and per lane.
         self._num_ready = 0
         self._lane_ready = [0] * self.lanes
@@ -201,12 +204,23 @@ class DatapathScheduler:
         self._zero_posted = 0
         self._posted = set()
         # The memory interface precomputes its per-node tables and, by
-        # type, picks the issue step's memory walk.
+        # type, picks the issue step's memory walk; only the cache's port
+        # count needs a reset on each new cycle.
         mem_if.bind(self)
+        spad = isinstance(mem_if, SpadInterface)
+        # Ticks from issue to completion per node: the op latency, or the
+        # scratchpad's access latency; the cache walk writes each access's
+        # own (None: a miss, which the cache completes).
+        delay = self._node_ticks
+        if not spad or any(mem_if._latency_ticks != clock.cycles_to_ticks(
+                OP_INFO[op].latency) for op in MEMORY_OPS):
+            delay = [mem_if._latency_ticks if kind and spad else ticks
+                     for ticks, kind in zip(delay, self._node_kind)]
+        self._node_delay = delay
         self._launch = self._launcher()
-        self._walk_memory = (self._spad_walker()
-                             if isinstance(mem_if, SpadInterface)
+        self._walk_memory = (self._spad_walker() if spad
                              else self._cache_walker())
+        self._new_cycle = None if spad else mem_if.new_cycle
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -226,12 +240,15 @@ class DatapathScheduler:
             return
         gated = self.round_barriers or self._ii_gated
         parked = self._round_parked
+        node_round, current = self._node_round, self._current_round
+        roots = []
         for node in self.ddg.roots:
-            r = self._node_round[node]
-            if gated and r > self._current_round:
+            r = node_round[node]
+            if gated and r > current:
                 parked.setdefault(r, []).append(node)
             else:
-                self._enqueue_ready(node)
+                roots.append(node)
+        self._enqueue_ready(roots)
         self._kick()
         self._post()
 
@@ -262,31 +279,34 @@ class DatapathScheduler:
 
     # -- readiness ------------------------------------------------------------
 
-    def _enqueue_ready(self, node):
-        lane = self._node_lane[node]
-        self._ready[lane][self._node_fu[node]].append(self._next_key + node)
-        self._next_key += self._key_step
-        self._lane_ready[lane] += 1
-        self._num_ready += 1
+    def _enqueue_ready(self, nodes):
+        """Queue ``nodes``, in order, each in its lane's bucket."""
+        ready, lane_ready = self._ready, self._lane_ready
+        node_lane, node_fu = self._node_lane, self._node_fu
+        key, step = self._next_key, self._key_step
+        for node in nodes:
+            lane = node_lane[node]
+            ready[lane][node_fu[node]].append(key + node)
+            lane_ready[lane] += 1
+            key += step
+        self._next_key = key
+        self._num_ready += len(nodes)
 
     def resume_parked(self, node):
         """Re-queue a node that was parked on a TLB walk or full/empty bit."""
-        self._enqueue_ready(node)
+        self._enqueue_ready((node,))
         self._kick()
         self._post()
 
     def _kick(self):
         """Ensure an issue pass is booked at the next accelerator edge."""
-        if not self._num_ready:
-            return
-        now = self._queue.now
-        remainder = now % self._period
-        when = now if remainder == 0 else now + (self._period - remainder)
-        pending = self._scheduled_passes
-        if pending and min(pending) <= when:
-            return
-        pending.add(when)
-        self._at(when, _PASS, None)
+        if self._num_ready:
+            now = self._queue.now
+            when = now + (-now) % self._period
+            pending = self._scheduled_passes
+            if not pending or min(pending) > when:
+                pending.add(when)
+                self._at(when, _PASS, None)
 
     # -- the cycle loop ----------------------------------------------------------
     #
@@ -328,32 +348,29 @@ class DatapathScheduler:
         pending, period = self._scheduled_passes, self._period
         limits, mask, step = self._fu_limits, self._key_mask, self._key_step
         mem_limit = limits[_MEM]
+        compute_fus = self._compute_fus
         launch, walk_memory = self._launch, self._walk_memory
         ready, lane_ready = self._ready, self._lane_ready
-        fu_used, fu_zero = self._fu_used, self._fu_zero
-        new_cycle = self.mem_if.new_cycle
+        fu_used, fu_zero, stamps = self._fu_used, self._fu_zero, self._fu_stamp
+        new_cycle = self._new_cycle
         lanes = range(self.lanes)
-        node_ticks, node_round = self._node_ticks, self._node_round
-        node_lane, node_fu = self._node_lane, self._node_fu
+        node_round, node_lane = self._node_round, self._node_lane
+        node_fu = self._node_fu
         indegree, successors = self._indegree, self._successors
         ii_gated = self._ii_gated
         gated = self.round_barriers or ii_gated
         parked, remaining = self._round_parked, self._round_remaining
         num_rounds, num_nodes = len(remaining), self._num_nodes
-        busy_end = self.busy.end
         launched, issued, tails = [], [], []
         try:
             while True:
                 if kind == _PASS:
                     # -- one cycle's issue pass -------------------------
                     pending.discard(now)
-                    # Reset per-cycle FU budgets on a new cycle.
                     cycle = now // period
-                    if cycle != self._state_cycle:
+                    if new_cycle is not None and cycle != self._state_cycle:
                         self._state_cycle = cycle
-                        for used in fu_used:
-                            used[:] = fu_zero
-                        new_cycle(cycle)
+                        new_cycle()
                     batches = {}
                     conflicts = 0
                     taken_all = 0
@@ -362,6 +379,9 @@ class DatapathScheduler:
                         left = lane_ready[lane]
                         queues = ready[lane]
                         used = fu_used[lane]
+                        if stamps[lane] != cycle:
+                            stamps[lane] = cycle
+                            used[:] = fu_zero
                         mem = queues[_MEM]
                         queued = len(mem)
                         left -= queued
@@ -369,7 +389,7 @@ class DatapathScheduler:
                         issued.clear()
                         tails.clear()
                         stop = -1
-                        for fu in (_COMPUTE_FUS if left else ()):
+                        for fu in (compute_fus if left else ()):
                             fu_queue = queues[fu]
                             if fu_queue:
                                 left -= len(fu_queue)
@@ -380,17 +400,14 @@ class DatapathScheduler:
                                         used[fu] += 1
                                         if key > stop:
                                             stop = key
-                                        issued.append(
-                                            (key, node_ticks[key & mask]))
+                                        issued.append(key)
                                     else:
                                         heads = fu_queue[:cap]
                                         del fu_queue[:cap]
                                         used[fu] += len(heads)
                                         if heads[-1] > stop:
                                             stop = heads[-1]
-                                        for key in heads:
-                                            issued.append(
-                                                (key, node_ticks[key & mask]))
+                                        issued += heads
                                     if fu_queue:
                                         tails.append(fu_queue)
                                 else:
@@ -421,11 +438,9 @@ class DatapathScheduler:
                     self.reservation_conflicts += conflicts
                     if launched:
                         launch(now, launched, batches)
-                    # Anything still queued retries next cycle.
+                    # Anything still queued retries at the next edge.
                     if self._num_ready:
-                        nxt = now + 1
-                        rem = nxt % period
-                        when = nxt if rem == 0 else nxt + (period - rem)
+                        when = now - now % period + period
                         if not pending or min(pending) > when:
                             pending.add(when)
                             seq = queue._seq
@@ -433,56 +448,71 @@ class DatapathScheduler:
                             heappush(agenda, (when, seq, _PASS, None))
                 elif kind == _BATCH:
                     # -- completions sharing this tick, in order --------
-                    in_flight = self._in_flight
-                    completed = self._completed
                     # _enqueue_ready inlined: the next key and the ready
                     # count live in locals, synced around round advances
                     # (which enqueue too).
                     key = start_key = self._next_key
-                    for node in arg:
-                        in_flight -= 1
-                        if in_flight == 0:
-                            busy_end(now)
-                        succs = successors[node]
-                        if succs:
-                            current_round = self._current_round
-                            for succ in succs:
+                    done = 0
+                    while True:
+                        done += len(arg)
+                        for node in arg:
+                            for succ in successors[node]:
                                 indegree[succ] -= 1
                                 if indegree[succ] == 0:
-                                    r = node_round[succ]
-                                    if gated and r > current_round:
-                                        if r in parked:
-                                            parked[r].append(succ)
-                                        else:
-                                            parked[r] = [succ]
-                                    else:
-                                        lane = node_lane[succ]
-                                        ready[lane][node_fu[succ]].append(
-                                            key + succ)
-                                        lane_ready[lane] += 1
-                                        key += step
-                        r = node_round[node]
-                        if r >= 0 and gated:
-                            remaining[r] -= 1
-                            # Under barriers round r is the current one.
-                            current = (self._current_round
-                                       if ii_gated or not remaining[r]
-                                       else num_rounds)
-                            if (current < num_rounds
-                                    and remaining[current] == 0):
-                                self._num_ready += (key - start_key) // step
-                                self._next_key = key
-                                self._advance_rounds()
-                                key = start_key = self._next_key
-                        completed += 1
+                                    if gated:
+                                        r = node_round[succ]
+                                        if r > self._current_round:
+                                            if r in parked:
+                                                parked[r].append(succ)
+                                            else:
+                                                parked[r] = [succ]
+                                            continue
+                                    lane = node_lane[succ]
+                                    ready[lane][node_fu[succ]].append(
+                                        key + succ)
+                                    lane_ready[lane] += 1
+                                    key += step
+                            if gated:
+                                r = node_round[node]
+                                if r >= 0:
+                                    remaining[r] -= 1
+                                    # Under barriers round r is the
+                                    # current one.
+                                    if ii_gated or not remaining[r]:
+                                        r = self._current_round
+                                        if (r < num_rounds
+                                                and remaining[r] == 0):
+                                            self._num_ready += (
+                                                (key - start_key) // step)
+                                            self._next_key = key
+                                            self._advance_rounds()
+                                            key = start_key = self._next_key
+                        # The next batch due on this tick runs in the same
+                        # pass when nothing queued comes before it.
+                        if horizon is None or budget <= 0 or not agenda:
+                            break
+                        entry = agenda[0]
+                        if (entry[0] != now or entry[2] != _BATCH
+                                or (posted and entry[1] in posted)
+                                or (heap and heap[0] < entry)):
+                            break
+                        heappop(agenda)
+                        arg = entry[3]
+                        budget -= 1
                     self._num_ready += (key - start_key) // step
                     self._next_key = key
-                    self._in_flight = in_flight
-                    self._completed = completed
-                    if completed == num_nodes:
+                    self._in_flight -= done
+                    if not self._in_flight:
+                        self.busy.end(now)
+                    self._completed += done
+                    if self._completed == num_nodes:
                         self._finish()
-                    else:
-                        self._kick()
+                    elif self._num_ready:
+                        # _kick inlined: an issue pass at the next edge.
+                        when = now + (-now) % period
+                        if not pending or min(pending) > when:
+                            pending.add(when)
+                            self._at(when, _PASS, None)
                 else:
                     self._open_gate(arg)
                 # -- the next entry, unless something queued is due first
@@ -551,7 +581,6 @@ class DatapathScheduler:
         node_index = self.trace.node_index
         arrays = self.trace.arrays
         ports = mem_if._ports
-        lat_ticks = mem_if._latency_ticks
         plans = mem_if._node_plan
         slots = mem_if._plan_slots
         plan_bits = mem_if._plan_bits
@@ -559,7 +588,9 @@ class DatapathScheduler:
         access_by_array = mem_if._access_by_array
         resume = self.resume_parked
         mask = self._key_mask
+        node_kind = self._node_kind
         limit = self._fu_limits[_MEM]
+        sched = self
 
         # The nodes a lane's last walk found blocked lead its bucket; while
         # the banks they wait for are full again and no full/empty line was
@@ -580,23 +611,27 @@ class DatapathScheduler:
                 else:
                     if memo[2] == sum(map(lines_cleared, gated)):
                         start = memo[0]
+                        if start == len(mem):
+                            # The whole bucket is the run: skip the lane.
+                            spad.conflicts += start
+                            if issued:
+                                issued.sort()
+                                launched += issued
+                            return _NEVER
             lost = start
             end = _NEVER
             walked = start
-            accesses = 0
-            for key in (islice(mem, start, None) if start else mem):
-                walked += 1
+            accesses = stores = 0
+            for walked, key in enumerate(
+                    islice(mem, start, None) if start else mem, start + 1):
                 node = key & mask
                 plan = plans[node]
                 bi = plan[1]
-                if bi > 0:
-                    if plan_ready[bi][plan[2]]:
-                        bi = 0  # data arrived: fall through
-                elif bi < 0:
-                    # Out of the bits' range: is_ready raises.
-                    plan_bits[-bi].is_ready(
-                        node_index[node] * arrays[plan[3]].word_bytes)
-                if bi:
+                if bi and not (bi > 0 and plan_ready[bi][plan[2]]):
+                    if bi < 0:
+                        # Out of the bits' range: is_ready raises.
+                        plan_bits[-bi].is_ready(
+                            node_index[node] * arrays[plan[3]].word_bytes)
                     plan_bits[bi].wait_bit(plan[2],
                                            lambda _n=node: resume(_n))
                 else:
@@ -616,8 +651,10 @@ class DatapathScheduler:
                     else:
                         slot[1] += 1
                     accesses += 1
+                    if node_kind[node] == 2:
+                        stores += 1
                     access_by_array[plan[3]] += 1
-                    issued.append((key, lat_ticks))
+                    issued.append(key)
                 used[_MEM] += 1
                 if used[_MEM] >= limit:
                     end = key
@@ -631,12 +668,16 @@ class DatapathScheduler:
                     # On a hit the run only grew: add the new nodes' banks.
                     banks = memo[1] if start else set()
                     banks.update([plans[k & mask][0] for k in mem[start:lost]])
-                    memo = (lost, banks, sum(map(lines_cleared, gated)))
-                blocked[lane] = memo
-            else:
+                    blocked[lane] = (lost, banks,
+                                     sum(map(lines_cleared, gated)))
+            elif memo is not None:
                 blocked[lane] = None
-            spad.conflicts += lost
-            spad.accesses += accesses
+            if lost:
+                spad.conflicts += lost
+            if accesses:
+                spad.accesses += accesses
+                sched.issued_loads += accesses - stores
+                sched.issued_stores += stores
             # Nothing else schedules events during the pass, so the lane's
             # issues can wait for the end of the pass, in key order.
             issued.sort()
@@ -676,7 +717,10 @@ class DatapathScheduler:
         page_size = tlb.page_size
         launch = self._launch
         mask = self._key_mask
+        node_kind = self._node_kind
+        delays = self._node_delay
         limit = self._fu_limits[_MEM]
+        sched = self
         # Per lane, the run of refusals its last walks left leading the
         # bucket: (length, last key, TLB pages in order of last touch,
         # epoch + evictions when the refusing walk began).
@@ -685,7 +729,7 @@ class DatapathScheduler:
         def walk(now, cycle, lane, mem, used, issued, launched, batches):
             issued.sort()
             pending = 0
-            upto = issued[0][0] if issued else _NEVER   # next compute key
+            upto = issued[0] if issued else _NEVER   # next compute key
             stamp = cache.epoch + tlb.evictions
             start = 0
             run = runs[lane]
@@ -703,6 +747,7 @@ class DatapathScheduler:
             leading = []    # ... while all were the cache's: the run grows
             end = _NEVER
             walked = start
+            accepted = stores = 0
             for key in (islice(mem, start, None) if start else mem):
                 node = key & mask
                 free = mem_if._ports_used < ports
@@ -710,10 +755,10 @@ class DatapathScheduler:
                     break
                 walked += 1
                 if upto < key:
-                    while pending < len(issued) and issued[pending][0] < key:
+                    while pending < len(issued) and issued[pending] < key:
                         launched.append(issued[pending])
                         pending += 1
-                    upto = (issued[pending][0] if pending < len(issued)
+                    upto = (issued[pending] if pending < len(issued)
                             else _NEVER)
                 probe = free and node_array[node] not in internal
                 if launched and probe and not quiet:
@@ -727,8 +772,11 @@ class DatapathScheduler:
                     refused.append(key)
                     continue
                 if status != "parked":
-                    launched.append(
-                        (key, status if type(status) is int else None))
+                    accepted += 1
+                    if node_kind[node] == 2:
+                        stores += 1
+                    delays[node] = status if type(status) is int else None
+                    launched.append(key)
                 used[_MEM] += 1
                 if used[_MEM] >= limit:
                     end = key
@@ -738,6 +786,8 @@ class DatapathScheduler:
                     end = key   # emptied
             mem[start:walked] = refused
             launched += issued[pending:]
+            sched.issued_loads += accepted - stores
+            sched.issued_stores += stores
             if leading:
                 touched = [node_vaddr[key & mask] // page_size
                            for key in leading]
@@ -751,18 +801,17 @@ class DatapathScheduler:
         return walk
 
     def _launcher(self):
-        """``launch(now, launched, batches)`` starts and clears the
-        ``(key, delay)`` pairs of ``launched`` (``delay`` None: the memory
-        system owns the completion).  Nodes due at one tick share an
-        agenda entry; a batch (``batches``: delay -> [nodes, expected
-        queue seq]) takes a node only if no other event was scheduled
-        since its last one.
-        """
+        """``launch(now, launched, batches)`` starts and clears the keys
+        of ``launched``, each node due ``_node_delay[node]`` ticks later
+        (None: the memory system owns the completion).  Nodes due at one
+        tick share an agenda entry; a batch (``batches``: delay -> [nodes,
+        expected queue seq]) takes a node only if no other event was
+        scheduled since its last one."""
         evq = self._queue
         agenda = self._agenda
         busy_begin = self.busy.begin
         mask = self._key_mask
-        node_kind = self._node_kind
+        delays = self._node_delay
         node_round = self._node_round
         round_started = self._round_started
         ii_ticks = self._ii_ticks
@@ -772,47 +821,43 @@ class DatapathScheduler:
             if not self._in_flight:
                 busy_begin(now)
             self._in_flight += len(launched)
-            loads = 0
-            stores = 0
-            for key, delay in launched:
+            last_delay = -1
+            for key in launched:
                 node = key & mask
                 if round_started is not None:
-                    # Modulo gating: the first issue of round r anchors
+                    # Modulo gating: the first issue of round r schedules
                     # the gate that opens round r+1 at now + II.
-                    rr = node_round[node]
-                    if rr >= 0 and not round_started[rr]:
-                        round_started[rr] = True
-                        if rr + 1 < len(round_started):
+                    r = node_round[node]
+                    if r >= 0 and not round_started[r]:
+                        round_started[r] = True
+                        if r + 1 < len(round_started):
                             seq = evq._seq
                             evq._seq = seq + 1
                             heappush(agenda, (now + ii_ticks, seq, _GATE,
-                                              rr + 1))
-                kind = node_kind[node]
-                if kind == 1:
-                    loads += 1
-                elif kind == 2:
-                    stores += 1
-                if delay is None:
-                    continue
-                if delay > 0:
+                                              r + 1))
+                            last_delay = -1
+                delay = delays[node]
+                if delay == last_delay:
+                    nodes.append(node)
+                elif delay:
                     entry = batches.get(delay)
                     seq = evq._seq
                     if entry is not None and entry[1] == seq:
-                        entry[0].append(node)
+                        nodes = entry[0]
+                        nodes.append(node)
                     else:
-                        lst = [node]
+                        nodes = [node]
                         evq._seq = seq + 1
-                        heappush(agenda, (now + delay, seq, _BATCH, lst))
+                        heappush(agenda, (now + delay, seq, _BATCH, nodes))
                         for e in batches.values():
                             if e[1] == seq:
                                 e[1] = seq + 1
-                        batches[delay] = [lst, seq + 1]
-                else:
+                        batches[delay] = [nodes, seq + 1]
+                    last_delay = delay
+                elif delay is not None:
                     # Due now: queue-FIFO rank, which carries no sequence
                     # number to guard a batch on.
                     at(now, _BATCH, (node,))
-            self.issued_loads += loads
-            self.issued_stores += stores
             launched.clear()
 
         return launch
@@ -831,8 +876,8 @@ class DatapathScheduler:
                 self._obs_trace(self._queue.now, "round %d/%d",
                                 self._current_round,
                                 len(self._round_remaining))
-            for node in self._round_parked.pop(self._current_round, ()):
-                self._enqueue_ready(node)
+            self._enqueue_ready(
+                self._round_parked.pop(self._current_round, ()))
 
     def _open_gate(self, target):
         """Modulo-mode round gate: II cycles elapsed since round
@@ -849,8 +894,7 @@ class DatapathScheduler:
                             target, len(self._round_remaining))
         parked = self._round_parked.pop(target, None)
         if parked:
-            for node in parked:
-                self._enqueue_ready(node)
+            self._enqueue_ready(parked)
             self._kick()
 
     def reg_stats(self, stats, prefix="accel0.sched"):
@@ -915,20 +959,16 @@ class SpadInterface:
     def _static_plans(self, trace):
         """The pure part of the per-node issue plan, memoized on the trace.
 
-        A plan entry is ``(slot_index, bits_index, bit, array)``: every
-        field is a function of the trace and two design scalars
-        (partition count, ready-bit layout), so the 30k-node derivation
-        runs once per (trace, design shape) instead of once per run.
-        Equal entries are one shared tuple: nodes of one bank share it,
-        and gated nodes of one (bank, bit) pair do.  The
-        per-run mutable state — bank slots and ready bytearrays — is
-        reached through small tables rebuilt by :meth:`bind`:
-        ``slot_index`` indexes the flat per-(array, bank) slot table (-1 =
-        unknown array → the trailing ``None`` sentinel), and
-        ``bits_index`` is 0 for ungated nodes, ``k > 0`` for full/empty
-        gating via table ``k``, and ``-k`` for a gated node whose offset
-        is out of range (the bounds error is raised at issue time, as the
-        unoptimized path did, from the offset recomputed there).
+        A plan entry is ``(slot_index, bits_index, bit, array)``, a
+        function of the trace, the partition count and the ready-bit
+        layout, so it is derived once per (trace, design shape); equal
+        entries are one shared tuple.  Per-run state (bank slots, ready
+        bytearrays) sits in tables rebuilt by :meth:`bind`: ``slot_index``
+        indexes the flat per-(array, bank) slot table (-1: unknown array,
+        the trailing ``None`` sentinel); ``bits_index`` is 0 ungated,
+        ``k > 0`` gated by table ``k``, and ``-k`` for a gated node whose
+        offset is out of range (the bounds error is raised at issue time,
+        from the offset recomputed there).
         """
         partitions = self.spad.partitions
         ready_bits = self.ready_bits
@@ -1008,26 +1048,13 @@ class SpadInterface:
         partitions = self.spad.partitions
         slots = []
         for array in array_order:
-            arr_banks = banks.get(array)
-            if arr_banks is None:
-                slots.extend([None] * partitions)
-            else:
-                slots.extend(arr_banks)
+            slots.extend(banks.get(array) or [None] * partitions)
         slots.append(None)   # slot index -1: unknown-array sentinel
-        bits_objs = [None]
-        ready_arrs = [None]
-        for array in bits_order:
-            bits = self.ready_bits[array]
-            bits_objs.append(bits)
-            ready_arrs.append(bits._ready)
+        bits_objs = [None] + [self.ready_bits[a] for a in bits_order]
         self._plan_slots = slots
         self._plan_bits = bits_objs
-        self._plan_ready = ready_arrs
+        self._plan_ready = [None] + [b._ready for b in bits_objs[1:]]
         self._node_plan = plans
-
-    def new_cycle(self, cycle):
-        """Per-cycle reset hook (banks self-arbitrate)."""
-        pass  # the scratchpad tracks per-cycle port use itself
 
 
 class CacheInterface:
@@ -1053,7 +1080,6 @@ class CacheInterface:
         self.internal = frozenset(internal_arrays)
         self.perfect = perfect
         self._period_ticks = clock.period
-        self._cycle = -1
         self._ports_used = 0
         self._node_array = None
         self._node_index = None
@@ -1080,35 +1106,29 @@ class CacheInterface:
         if memo is None:
             memo = trace._cache_plan_memo = {}
         cached = memo.get(key)
-        if cached is not None:
-            self._node_vaddr = cached[0]
-            self._node_size = cached[1]
-            self._node_is_write = cached[2]
-            return
-        node_vaddr = [0] * n
-        node_size = [0] * n
-        node_is_write = [False] * n
-        internal = self.internal
-        arrays = trace.arrays
-        node_ops = trace.node_op
-        for node in range(n):
-            array = node_array[node]
-            if array is None or array in internal:
-                continue
-            word_bytes = arrays[array].word_bytes
-            node_vaddr[node] = addr_map[array] + node_index[node] * word_bytes
-            node_size[node] = word_bytes
-            node_is_write[node] = node_ops[node] == Op.STORE
-        memo[key] = (node_vaddr, node_size, node_is_write)
-        self._node_vaddr = node_vaddr
-        self._node_size = node_size
-        self._node_is_write = node_is_write
+        if cached is None:
+            node_vaddr = [0] * n
+            node_size = [0] * n
+            node_is_write = [False] * n
+            internal = self.internal
+            arrays = trace.arrays
+            node_ops = trace.node_op
+            for node in range(n):
+                array = node_array[node]
+                if array is None or array in internal:
+                    continue
+                word_bytes = arrays[array].word_bytes
+                node_vaddr[node] = (addr_map[array]
+                                    + node_index[node] * word_bytes)
+                node_size[node] = word_bytes
+                node_is_write[node] = node_ops[node] == Op.STORE
+            cached = memo[key] = (node_vaddr, node_size, node_is_write)
+        self._node_vaddr, self._node_size, self._node_is_write = cached
 
-    def new_cycle(self, cycle):
-        """Reset the per-cycle cache-port counter."""
-        if cycle != self._cycle:
-            self._cycle = cycle
-            self._ports_used = 0
+    def new_cycle(self):
+        """Reset the per-cycle cache-port counter (called by the issue
+        pass on the first pass of each cycle)."""
+        self._ports_used = 0
 
     def issue(self, sched, node, cycle):
         """Try to issue one memory node this cycle.

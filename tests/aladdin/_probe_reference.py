@@ -4,6 +4,7 @@ This is the scheduler's cache walk as it was before it learned to count
 a lane's run of MSHR-refused accesses without probing it, kept only as a
 test oracle for ``test_blocked_memo.py`` and the traced-run test.  Each
 refused access goes through the TLB and the cache again on every pass.
+Like the scheduler's walks, it counts the loads and stores it accepts.
 
 ``install(sched)`` replaces the scheduler's memory walk with this one.
 """
@@ -20,12 +21,14 @@ def reference_cache_walker(sched):
     quiet = mem_if.perfect
     launch = sched._launch
     mask = sched._key_mask
+    node_kind = sched._node_kind
+    delays = sched._node_delay
     limit = sched._fu_limits[_MEM]
 
     def walk(now, cycle, lane, mem, used, issued, launched, batches):
         issued.sort()
         pending = 0
-        upto = issued[0][0] if issued else _NEVER
+        upto = issued[0] if issued else _NEVER
         refused = []
         end = _NEVER
         walked = 0
@@ -35,10 +38,10 @@ def reference_cache_walker(sched):
                 break
             walked += 1
             if upto < key:
-                while pending < len(issued) and issued[pending][0] < key:
+                while pending < len(issued) and issued[pending] < key:
                     launched.append(issued[pending])
                     pending += 1
-                upto = (issued[pending][0] if pending < len(issued)
+                upto = (issued[pending] if pending < len(issued)
                         else _NEVER)
             if launched and not (quiet or node_array[node] in internal
                                  or mem_if._ports_used >= ports):
@@ -48,8 +51,12 @@ def reference_cache_walker(sched):
                 refused.append(key)
                 continue
             if status != "parked":
-                launched.append(
-                    (key, status if type(status) is int else None))
+                if node_kind[node] == 2:
+                    sched.issued_stores += 1
+                else:
+                    sched.issued_loads += 1
+                delays[node] = status if type(status) is int else None
+                launched.append(key)
             used[_MEM] += 1
             if used[_MEM] >= limit:
                 end = key

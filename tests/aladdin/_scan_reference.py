@@ -25,9 +25,13 @@ def reference_pass(sched, queues):
     cycle = now // sched._period
     if cycle != sched._state_cycle:
         sched._state_cycle = cycle
-        for used in sched._fu_used:
-            used[:] = sched._fu_zero
-        sched.mem_if.new_cycle(cycle)
+        if not isinstance(sched.mem_if, SpadInterface):
+            sched.mem_if.new_cycle()
+    # A lane's FU row counts only while its stamp is the current cycle.
+    for lane, stamp in enumerate(sched._fu_stamp):
+        if stamp != cycle:
+            sched._fu_stamp[lane] = cycle
+            sched._fu_used[lane][:] = [0] * _NUM_FU
     node_fu = sched._node_fu
     node_ticks = sched._node_ticks
     node_kind = sched._node_kind

@@ -170,7 +170,6 @@ def _cache_world(s):
             if vaddr:
                 tlb.translate(vaddr, mem_if.phys_offset, lambda _p: None)
         sim.run()
-    mem_if._cycle = sim.queue.now // clock.period
     mem_if._ports_used = min(s["ports_used"], s["ports"])
     return sched, {"spad": spad, "cache": cache, "tlb": tlb}
 
@@ -218,11 +217,19 @@ def _retained(sched):
             for lane in sched._ready]
 
 
+def _budgets(sched):
+    """The effective FU rows: a row counts only while its lane's stamp
+    is the current cycle."""
+    cycle = sched._queue.now // sched._period
+    return [list(used) if stamp == cycle else [0] * len(used)
+            for used, stamp in zip(sched._fu_used, sched._fu_stamp)]
+
+
 def _state(sched, parts, queues=None):
     spad = parts["spad"]
     state = {
         "events": _events(sched),
-        "fu_used": [list(u) for u in sched._fu_used],
+        "fu_used": _budgets(sched),
         "reservation": sched.reservation_conflicts,
         "loads": sched.issued_loads,
         "stores": sched.issued_stores,
@@ -260,10 +267,12 @@ def _run(world, s, reference):
     sched, parts = world(s)
     lanes = sched.lanes
     queues = [[] for _ in range(lanes)] if reference else None
+    # FU slots taken earlier in this cycle.
+    cycle = sched._queue.now // sched._period
     for lane in range(lanes):
         sched._fu_used[lane][:] = s["fu_used"][lane % 4]
-    # FU slots taken earlier in this cycle.
-    sched._state_cycle = sched._queue.now // sched._period
+        sched._fu_stamp[lane] = cycle
+    sched._state_cycle = cycle
     outcomes = []
     for step, batch in enumerate((s["first"], s["second"])):
         if step and s.get("clear"):
@@ -275,7 +284,7 @@ def _run(world, s, reference):
             if reference:
                 queues[sched._node_lane[node]].append(node)
             else:
-                sched._enqueue_ready(node)
+                sched._enqueue_ready((node,))
         try:
             if reference:
                 reference_pass(sched, queues)
@@ -380,7 +389,7 @@ def test_saturated_classes_are_counted_without_probing():
          "fu_per_lane": {}, "pipelining": "off", "ii": 1}
     sched, parts = _spad_world(s)
     for node in [n.node for n in muls] + [n.node for n in loads]:
-        sched._enqueue_ready(node)
+        sched._enqueue_ready((node,))
     sched._issue_pass(_PASS, None)
     assert sched.reservation_conflicts == 9
     assert parts["spad"].conflicts == 10

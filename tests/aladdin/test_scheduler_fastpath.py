@@ -246,7 +246,7 @@ class TestCachePortRefund:
                 tlb.translate(mem_if._node_vaddr[node], mem_if.phys_offset,
                               lambda paddr: None)
         sim.run()
-        mem_if.new_cycle(0)
+        mem_if.new_cycle()
         # Loads of array "a" sit at word stride 4; words 0 and 16 map to
         # different cache lines, so the second is a fresh miss that needs
         # the (single, occupied) MSHR and must be rejected.
@@ -261,7 +261,7 @@ class TestCachePortRefund:
 
     def test_ports_still_capped_without_blocking(self):
         sim, sched, mem_if, cache, _tlb = self._iface(mshrs=16)
-        mem_if.new_cycle(0)
+        mem_if.new_cycle()
         mem_if.perfect = True
         statuses = [mem_if.issue(sched, node, 0) for node in (0, 3, 6, 9, 12)]
         assert statuses[:4] == [mem_if._period_ticks] * 4
