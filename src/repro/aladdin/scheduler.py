@@ -209,12 +209,14 @@ class DatapathScheduler:
         mem_if.bind(self)
         spad = isinstance(mem_if, SpadInterface)
         # Ticks from issue to completion per node: the op latency, or the
-        # scratchpad's access latency; the cache walk writes each access's
-        # own (None: a miss, which the cache completes).
+        # scratchpad's access latency.  The cache walk writes each access's
+        # own into a copy (None: a miss, which the cache completes).
         delay = self._node_ticks
-        if not spad or any(mem_if._latency_ticks != clock.cycles_to_ticks(
+        if not spad:
+            delay = list(delay)
+        elif any(mem_if._latency_ticks != clock.cycles_to_ticks(
                 OP_INFO[op].latency) for op in MEMORY_OPS):
-            delay = [mem_if._latency_ticks if kind and spad else ticks
+            delay = [mem_if._latency_ticks if kind else ticks
                      for ticks, kind in zip(delay, self._node_kind)]
         self._node_delay = delay
         self._launch = self._launcher()
@@ -1139,8 +1141,6 @@ class CacheInterface:
         internal arrays, the perfect memory and the other cache hits —
         which the scheduler batches and schedules.
         """
-        if self._node_array is None:
-            self.bind(sched)
         array = self._node_array[node]
         if array in self.internal:
             if not self.spad.try_access(array, self._node_index[node], cycle):

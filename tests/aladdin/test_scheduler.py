@@ -47,6 +47,23 @@ class TestBasicExecution:
         assert sched.issued_loads == 16
         assert sched.issued_stores == 16
 
+    def test_scratchpad_latency_sets_memory_completion(self):
+        """A load completes after the scratchpad's access latency, not
+        the load op's, and its dependent add issues then."""
+        tb = TraceBuilder()
+        tb.array("a", 4, 4, kind="input", init=[1] * 4)
+        tb.add(tb.load("a", 0), 1)
+        sim = Simulator()
+        clock = ClockDomain(100)
+        mem_if = SpadInterface(sim, clock, make_scratchpad(tb, 1, 1),
+                               latency_cycles=3)
+        sched = DatapathScheduler(sim, clock, DDDG(tb), assign_lanes(tb, 1),
+                                  mem_if)
+        sim.add_done_dependency(lambda: sched.done)
+        sched.start()
+        sim.run()
+        assert sched.compute_ticks == clock.cycles_to_ticks(3 + 1)
+
     def test_empty_trace_completes_immediately(self):
         tb = TraceBuilder()
         sim, sched, _ = run_spad(tb, 1, 1)
