@@ -180,7 +180,7 @@ class DatapathScheduler:
         self._period = clock.period
         # Per-cycle resource state.  A lane's FU row counts only while its
         # stamp is the current cycle; the issue pass resets a row when it
-        # visits its lane in a later cycle, not every row every cycle.
+        # visits its lane in a later cycle.
         self._state_cycle = -1
         self._fu_zero = [0] * _NUM_FU
         self._fu_used = [[0] * _NUM_FU for _ in range(self.lanes)]
@@ -624,8 +624,8 @@ class DatapathScheduler:
             end = _NEVER
             walked = start
             accesses = stores = 0
-            for walked, key in enumerate(
-                    islice(mem, start, None) if start else mem, start + 1):
+            for key in (islice(mem, start, None) if start else mem):
+                walked += 1
                 node = key & mask
                 plan = plans[node]
                 bi = plan[1]
