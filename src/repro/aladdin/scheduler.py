@@ -592,7 +592,6 @@ class DatapathScheduler:
         mask = self._key_mask
         node_kind = self._node_kind
         limit = self._fu_limits[_MEM]
-        sched = self
 
         # The nodes a lane's last walk found blocked lead its bucket; while
         # the banks they wait for are full again and no full/empty line was
@@ -678,8 +677,8 @@ class DatapathScheduler:
                 spad.conflicts += lost
             if accesses:
                 spad.accesses += accesses
-                sched.issued_loads += accesses - stores
-                sched.issued_stores += stores
+                self.issued_loads += accesses - stores
+                self.issued_stores += stores
             # Nothing else schedules events during the pass, so the lane's
             # issues can wait for the end of the pass, in key order.
             issued.sort()
@@ -722,7 +721,6 @@ class DatapathScheduler:
         node_kind = self._node_kind
         delays = self._node_delay
         limit = self._fu_limits[_MEM]
-        sched = self
         # Per lane, the run of refusals its last walks left leading the
         # bucket: (length, last key, TLB pages in order of last touch,
         # epoch + evictions when the refusing walk began).
@@ -788,8 +786,8 @@ class DatapathScheduler:
                     end = key   # emptied
             mem[start:walked] = refused
             launched += issued[pending:]
-            sched.issued_loads += accepted - stores
-            sched.issued_stores += stores
+            self.issued_loads += accepted - stores
+            self.issued_stores += stores
             if leading:
                 touched = [node_vaddr[key & mask] // page_size
                            for key in leading]
