@@ -54,6 +54,14 @@ class TestStrideDetection:
         p.observe("c", 0, 64)  # evicts oldest
         assert len(p._table) == 2
 
+    def test_table_evicts_oldest_insertion_not_oldest_update(self):
+        p = StridePrefetcher(table_size=2)
+        p.observe("s1", 0, 64)
+        p.observe("s2", 0, 64)
+        p.observe("s1", 64, 64)   # updates s1; its table place stays first
+        p.observe("s3", 0, 64)
+        assert list(p._table) == ["s2", "s3"]
+
 
 class TestNullPrefetcher:
     def test_never_issues(self):
