@@ -22,6 +22,10 @@ Audited resources:
 * accelerator TLB — no pending page-table walks, and every TLB hit
   reached the cache exactly once (``tlb.hits`` equals the cache's hits +
   misses + merged + blocked);
+* datapath accesses — without perfect memory, every load and store the
+  cache-design datapath issued reached memory exactly once
+  (``issued_loads + issued_stores`` equals the cache's reads + writes
+  plus the scratchpad's accesses);
 * datapath scheduler — finished, nothing in flight, no nodes stranded in
   the per-lane ready queues (checked against the actual queue contents,
   with counter drift reported separately), none parked behind round or
@@ -134,6 +138,15 @@ def _audit_soc(leaks, soc):
             _leak(leaks, f"{prefix}.tlb", "tlb_cache_conservation",
                   f"{tlb.hits} TLB hits, but the cache counted {reached} "
                   f"accesses (hits + misses + merged + blocked)")
+        if not sched.mem_if.perfect:
+            issued = sched.issued_loads + sched.issued_stores
+            reached = cache.reads + cache.writes + soc.spad.accesses
+            if issued != reached:
+                _leak(leaks, f"{prefix}.sched",
+                      "datapath_access_conservation",
+                      f"{issued} loads and stores issued, but the cache "
+                      f"and scratchpad accepted {reached} (reads + writes "
+                      f"+ scratchpad accesses)")
 
     mem_if = sched.mem_if
     ports = getattr(mem_if, "ports", None)

@@ -98,6 +98,28 @@ class TestLeakDetection:
         with pytest.raises(LeakError, match="tlb_cache_conservation"):
             soc.run()
 
+    def test_issued_access_memory_never_saw_raises(self):
+        """A store the datapath counts but neither the cache nor the
+        scratchpad accepted breaks the access conservation identity."""
+        design = DesignPoint(lanes=4, partitions=4, mem_interface="cache",
+                             cache_size_kb=4)
+        checker = Checker()
+        soc = SoC("nw-nw", design, check=checker)
+        soc.run()
+        assert soc.spad.accesses > 0 and soc.accel_cache.reads > 0
+        soc.scheduler.issued_stores += 1
+        with pytest.raises(LeakError, match="datapath_access_conservation"):
+            checker.audit()
+
+    def test_perfect_memory_is_exempt_from_access_conservation(self):
+        design = DesignPoint(mem_interface="cache", perfect_memory=True)
+        checker = Checker()
+        soc = SoC("gemm-ncubed", design, check=checker)
+        soc.run()
+        assert soc.scheduler.issued_loads > 0
+        assert soc.accel_cache.reads == 0
+        assert checker.last_audit["clean"]
+
     def test_unattached_checker_rejects_audit(self):
         with pytest.raises(LeakError, match="never attached"):
             Checker().audit()
