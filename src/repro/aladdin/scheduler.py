@@ -35,10 +35,15 @@ nodes of a saturated bucket come from the bucket's sequence range.
 Per-lane work.  A lane's FU row counts only while its stamp is the
 current cycle: a pass resets it when it visits the lane, and tries only
 the compute classes the graph uses.  A scratchpad lane whose memory
-bucket is all its memoized blocked run is counted, not walked.  Loads and
-stores are counted where a walk accepts the access.  A completion batch
-also runs the batches due on its tick that follow it with nothing queued
-in between, then books one issue pass.
+bucket is all its memoized blocked run is counted, not walked.  In a
+cache design without internal arrays, once every cache port is taken a
+lane with only memory nodes ready is skipped, and a lane with compute
+issues it without a walk.  With internal arrays the walk goes on past a
+taken port to the scratchpad accesses, refusing the cached ones without
+calling the interface.  Loads and stores are counted where a walk
+accepts the access.  A completion batch also runs the batches due on its
+tick that follow it with nothing queued in between, then books one issue
+pass.
 """
 
 from bisect import bisect_left
@@ -64,6 +69,16 @@ _NEVER = float("inf")
 _MEMO_BLOCKED = 8
 # Agenda entry kinds: an issue pass, a completion batch, a modulo II gate.
 _PASS, _BATCH, _GATE = 0, 1, 2
+
+
+def _ports_taken(now, cycle, lane, mem, used, issued, launched, batches):
+    """The memory step of a lane that finds every cache port taken, with
+    no internal array to reach: it launches the lane's compute issues
+    and probes nothing, as the cache walk would (see
+    :meth:`DatapathScheduler._cache_walker`)."""
+    issued.sort()
+    launched += issued
+    return _NEVER
 
 
 class DatapathScheduler:
@@ -223,6 +238,9 @@ class DatapathScheduler:
         self._walk_memory = (self._spad_walker() if spad
                              else self._cache_walker())
         self._new_cycle = None if spad else mem_if.new_cycle
+        # The cache interface, when a taken cache port ends every walk (no
+        # internal array lets a walk reach a scratchpad node past it).
+        self._port_gate = None if spad or mem_if.internal else mem_if
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -271,6 +289,8 @@ class DatapathScheduler:
         DESIGN.md "Object lifetime").  Counters and queues stay readable.
         """
         self._launch = self._walk_memory = self.on_done = None
+        if isinstance(self.mem_if, CacheInterface):
+            self.mem_if.release()
 
     @property
     def compute_ticks(self):
@@ -355,6 +375,8 @@ class DatapathScheduler:
         ready, lane_ready = self._ready, self._lane_ready
         fu_used, fu_zero, stamps = self._fu_used, self._fu_zero, self._fu_stamp
         new_cycle = self._new_cycle
+        port_gate = self._port_gate
+        cache_ports = port_gate.ports if port_gate is not None else 0
         lanes = range(self.lanes)
         node_round, node_lane = self._node_round, self._node_lane
         node_fu = self._node_fu
@@ -376,17 +398,25 @@ class DatapathScheduler:
                     batches = {}
                     conflicts = 0
                     taken_all = 0
+                    walk = walk_memory
                     # Lanes with ready nodes (no other lane gains any).
                     for lane in compress(lanes, lane_ready):
                         left = lane_ready[lane]
                         queues = ready[lane]
+                        mem = queues[_MEM]
+                        queued = len(mem)
+                        left -= queued
+                        if (port_gate is not None
+                                and port_gate._ports_used >= cache_ports):
+                            # Every cache port is taken, for the rest of
+                            # the pass: a walk would stop at its first node.
+                            if not left:
+                                continue
+                            walk = _ports_taken
                         used = fu_used[lane]
                         if stamps[lane] != cycle:
                             stamps[lane] = cycle
                             used[:] = fu_zero
-                        mem = queues[_MEM]
-                        queued = len(mem)
-                        left -= queued
                         # Compute classes: the issuable heads go in bulk.
                         issued.clear()
                         tails.clear()
@@ -418,8 +448,8 @@ class DatapathScheduler:
                                     break
                         taken = len(issued)
                         if queued and used[_MEM] < mem_limit:
-                            mem_full = walk_memory(now, cycle, lane, mem, used,
-                                                   issued, launched, batches)
+                            mem_full = walk(now, cycle, lane, mem, used,
+                                            issued, launched, batches)
                             taken += queued - len(mem)
                             if mem_full > stop:
                                 stop = mem_full
@@ -693,9 +723,12 @@ class DatapathScheduler:
         launches the issues that precede it.  A cache hit schedules nothing
         and comes back as a delay, launched in key order at the next flush:
         no event is scheduled in between, so its completion keeps the
-        sequence number the cache would have given it.  Without internal
-        arrays it ends once every cache port is taken, since each access
-        left would be refused before any TLB or cache call.
+        sequence number the cache would have given it.  While every cache
+        port is taken, each access to a cached array would be refused
+        before any TLB or cache call, so the walk refuses it itself:
+        without internal arrays it ends there (and a pass that finds the
+        ports taken calls :func:`_ports_taken` instead), with them it goes
+        on to the scratchpad accesses.
 
         A walk leaves the accesses the cache refused for full MSHRs at the
         head of the lane's bucket.  Such a refusal schedules nothing: it
@@ -744,15 +777,24 @@ class DatapathScheduler:
                     tlb.peek(node_vaddr[key & mask])
                     for key in islice(mem, start)))
             refused = []    # accesses the interface refused, in order
-            leading = []    # ... while all were the cache's: the run grows
+            leading = 0     # how many lead it, all the cache's: the run
             end = _NEVER
             walked = start
             accepted = stores = 0
             for key in (islice(mem, start, None) if start else mem):
                 node = key & mask
-                free = mem_if._ports_used < ports
-                if not (free or internal):
+                if mem_if._ports_used < ports:
+                    probe = node_array[node] not in internal
+                elif not internal:
                     break
+                elif node_array[node] in internal:
+                    probe = False
+                else:
+                    # A cached array with every port taken: the interface
+                    # would refuse it and change nothing.
+                    walked += 1
+                    refused.append(key)
+                    continue
                 walked += 1
                 if upto < key:
                     while pending < len(issued) and issued[pending] < key:
@@ -760,15 +802,14 @@ class DatapathScheduler:
                         pending += 1
                     upto = (issued[pending] if pending < len(issued)
                             else _NEVER)
-                probe = free and node_array[node] not in internal
                 if launched and probe and not quiet:
                     launch(now, launched, batches)
                 status = mem_issue(self, node, cycle)
                 if status == "retry":
                     # With a free port and no internal array, only the
                     # cache refuses.
-                    if len(leading) == len(refused) and probe:
-                        leading.append(key)
+                    if leading == len(refused) and probe:
+                        leading += 1
                     refused.append(key)
                     continue
                 if status != "parked":
@@ -785,16 +826,17 @@ class DatapathScheduler:
                 if not (refused or start):
                     end = key   # emptied
             mem[start:walked] = refused
-            launched += issued[pending:]
-            self.issued_loads += accepted - stores
-            self.issued_stores += stores
+            launched += issued[pending:] if pending else issued
+            if accepted:
+                self.issued_loads += accepted - stores
+                self.issued_stores += stores
             if leading:
                 touched = [node_vaddr[key & mask] // page_size
-                           for key in leading]
+                           for key in refused[:leading]]
                 if start:
                     touched[:0] = run[2]
                 pages = tuple(dict.fromkeys(reversed(touched)))[::-1]
-                runs[lane] = (start + len(leading), leading[-1], pages,
+                runs[lane] = (start + leading, refused[leading - 1], pages,
                               stamp)
             return end
 
@@ -1086,6 +1128,9 @@ class CacheInterface:
         self._node_vaddr = None
         self._node_size = None
         self._node_is_write = None
+        self._complete = None
+        self._round_started = None
+        self._node_round = None
 
     def bind(self, sched):
         """Precompute per-node tables (virtual address, access size, and
@@ -1124,6 +1169,14 @@ class CacheInterface:
                 node_is_write[node] = node_ops[node] == Op.STORE
             cached = memo[key] = (node_vaddr, node_size, node_is_write)
         self._node_vaddr, self._node_size, self._node_is_write = cached
+        self._complete = sched.complete_node
+        self._round_started = sched._round_started
+        self._node_round = sched._node_round
+
+    def release(self):
+        """Drop the scheduler's completion callback once the run is over
+        (see DESIGN.md "Object lifetime")."""
+        self._complete = None
 
     def new_cycle(self):
         """Reset the per-cycle cache-port counter (called by the issue
@@ -1161,13 +1214,12 @@ class CacheInterface:
         # node may be its round's first issue: launching that one
         # schedules the modulo II gate before the completion, where the
         # cache would have scheduled the completion first.
-        started = sched._round_started
-        rr = sched._node_round[node]
-        status = self.cache.access(paddr, self._node_size[node],
-                                   self._node_is_write[node],
-                                   sched.complete_node, node, stream=array,
-                                   defer_hit=(started is None or rr < 0
-                                              or started[rr]))
+        started = self._round_started
+        rr = self._node_round[node]
+        status = self.cache.access(
+            paddr, self._node_size[node], self._node_is_write[node],
+            self._complete, (node,), array,
+            started is None or rr < 0 or started[rr])
         if status == "blocked":
             # The cache rejected the access (MSHRs full): refund the port
             # slot, or a blocked lane would starve peers for the whole

@@ -18,6 +18,11 @@ from repro.memory.mshr import MSHRFile
 from repro.memory.prefetch import NullPrefetcher, StridePrefetcher
 from repro.obs import trace
 
+_INVALID = LineState.INVALID
+_MODIFIED = LineState.MODIFIED
+# The states a write hits in.
+_WRITABLE = (LineState.MODIFIED, LineState.EXCLUSIVE)
+
 
 class Cache:
     """One coherent cache (used for both the accelerator and the CPU side)."""
@@ -157,39 +162,55 @@ class Cache:
 
     # -- the access path -----------------------------------------------------
 
-    def access(self, addr, size, is_write, callback, *args, stream=None,
+    def access(self, addr, size, is_write, callback, args=(), stream=None,
                defer_hit=False):
         """Attempt one demand access.
 
         Returns ``"hit"``, ``"miss"`` (accepted, fill in flight) or
         ``"blocked"`` (MSHRs exhausted — caller must retry).
         ``callback(*args)`` fires once the data is available (after the
-        hit latency, or after the fill plus hit latency).  With
-        ``defer_hit`` a hit schedules nothing and returns the hit latency
-        in ticks instead: the caller schedules the completion itself.  A
-        blocked access changes nothing but ``blocked``, and stays blocked
-        until ``epoch`` moves.
+        hit latency, or after the fill plus hit latency); ``stream`` keys
+        the prefetcher's stride detection.  With ``defer_hit`` a hit
+        schedules nothing and returns the hit latency in ticks instead:
+        the caller schedules the completion itself.  A blocked access
+        changes nothing but ``blocked``, and stays blocked until ``epoch``
+        moves.
+
+        Every demand access of the accelerator takes this path once, so it
+        does its own arithmetic: the line and set come from the
+        precomputed shift and masks (power-of-two geometry), and a hit
+        counts its read or write and its prefetcher observation in this
+        body, in the order :meth:`_count_access` counts a miss's.
         """
-        line = self.line_addr(addr)
-        if self.line_addr(addr + size - 1) != line:
+        mask = self._line_mask
+        if self._set_mask is not None and mask is not None:
+            line = addr & mask
+            last = (addr + size - 1) & mask
+            cache_set = self._sets[(line >> self._line_shift)
+                                   & self._set_mask]
+        else:
+            line = self.line_addr(addr)
+            last = self.line_addr(addr + size - 1)
+            cache_set = self._sets[self._set_index(line)]
+        if last != line:
             raise ConfigError(
                 f"access at 0x{addr:x} size {size} spans cache lines"
             )
-        # Single set lookup per access: the set dict is resolved once and
-        # reused for the state probe, LRU touch, and state update.
-        cache_set = self._sets[self._set_index(line)]
-        state = cache_set.get(line, LineState.INVALID)
-        hit = state != LineState.INVALID and (
-            not is_write or state in (LineState.MODIFIED, LineState.EXCLUSIVE)
-        )
-        if hit:
-            self._count_access(is_write, addr, stream)
+        state = cache_set.get(line, _INVALID)
+        if state != _INVALID and (not is_write or state in _WRITABLE):
+            if is_write:
+                self.writes += 1
+            else:
+                self.reads += 1
+            for target in self.prefetcher.observe(stream or "anon", addr,
+                                                  self.line_size):
+                self._try_prefetch(target)
             self.hits += 1
             cache_set.move_to_end(line)
             if is_write:
-                cache_set[line] = LineState.MODIFIED
+                cache_set[line] = _MODIFIED
                 if self._checker is not None:
-                    self._checker.on_install(self, line, LineState.MODIFIED)
+                    self._checker.on_install(self, line, _MODIFIED)
             if defer_hit:
                 return self._hit_ticks
             self.sim.schedule(self._hit_ticks, callback, *args)

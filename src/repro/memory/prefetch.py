@@ -14,13 +14,18 @@ class StridePrefetcher:
     def __init__(self, degree=2, table_size=16):
         self.degree = degree
         self.table_size = table_size
-        # stream key -> [last_addr, last_stride, confidence]
+        # stream key -> [last_addr, last_stride, confidence], updated in
+        # place
         self._table = {}
         self.issued = 0
         self.useful_hint = 0
 
     def observe(self, stream, addr, line_size):
-        """Record a demand access; returns line addresses worth prefetching."""
+        """Record a demand access; returns line addresses worth prefetching.
+
+        A stream's entry is updated in place, so the table keeps its
+        insertion order and a full table evicts the oldest-inserted
+        stream, however recently it was updated."""
         entry = self._table.get(stream)
         if entry is None:
             if len(self._table) >= self.table_size:
@@ -28,20 +33,21 @@ class StridePrefetcher:
                 self._table.pop(next(iter(self._table)))
             self._table[stream] = [addr, 0, 0]
             return []
-        last_addr, last_stride, confidence = entry
-        stride = addr - last_addr
-        if stride != 0 and stride == last_stride:
-            confidence = min(confidence + 1, 3)
-        else:
-            confidence = 0
-        self._table[stream] = [addr, stride, confidence]
-        if confidence < 1 or stride == 0:
+        stride = addr - entry[0]
+        entry[0] = addr
+        if stride == 0 or stride != entry[1]:
+            # Not confirmed: remember the stride, start over.
+            entry[1] = stride
+            entry[2] = 0
             return []
+        if entry[2] < 3:
+            entry[2] += 1
         targets = []
+        own = addr - addr % line_size
         for i in range(1, self.degree + 1):
             target = addr + stride * i
-            line = target - (target % line_size)
-            if line != addr - (addr % line_size) and line not in targets:
+            line = target - target % line_size
+            if line != own and line not in targets:
                 targets.append(line)
         self.issued += len(targets)
         return targets

@@ -49,11 +49,14 @@ class AcceleratorTLB:
     def lookup(self, vaddr):
         """:meth:`peek`, counting a hit and making the page most recently
         used.  A resident page stays resident until ``evictions`` moves."""
-        paddr = self.peek(vaddr)
-        if paddr is not None:
-            self.hits += 1
-            self._tlb.move_to_end(vaddr // self.page_size)
-        return paddr
+        page_size = self.page_size
+        vpn = vaddr // page_size
+        ppn = self._tlb.get(vpn)
+        if ppn is None:
+            return None
+        self.hits += 1
+        self._tlb.move_to_end(vpn)
+        return ppn * page_size + vaddr % page_size
 
     def rehit(self, pages, count):
         """Count ``count`` more hits on the resident ``pages`` (vpns, in

@@ -190,9 +190,10 @@ class TestCacheHitBatching:
             calls.append(node)
             real(node)
 
-        # An instance attribute: the cache interface looks the callback
-        # up on every access.
+        # An instance attribute, bound again: the cache interface takes
+        # the callback once, when it is bound to the scheduler.
         sched.complete_node = counting
+        sched.mem_if.bind(sched)
         soc.run()
         assert sched.done
         cache = soc.accel_cache
