@@ -35,15 +35,12 @@ nodes of a saturated bucket come from the bucket's sequence range.
 Per-lane work.  A lane's FU row counts only while its stamp is the
 current cycle: a pass resets it when it visits the lane, and tries only
 the compute classes the graph uses.  A scratchpad lane whose memory
-bucket is all its memoized blocked run is counted, not walked.  In a
-cache design without internal arrays, once every cache port is taken a
-lane with only memory nodes ready is skipped, and a lane with compute
-issues it without a walk.  With internal arrays the walk goes on past a
-taken port to the scratchpad accesses, refusing the cached ones without
-calling the interface.  Loads and stores are counted where a walk
-accepts the access.  A completion batch also runs the batches due on its
-tick that follow it with nothing queued in between, then books one issue
-pass.
+bucket is all its memoized blocked run is counted, not walked.  Once
+every cache port is taken, a pass walks a cache lane only in a design
+with internal arrays, whose scratchpad nodes it may still reach.  Loads
+and stores are counted where a walk accepts the access.  A completion
+batch also runs the batches due on its tick that follow it with nothing
+queued in between, then books one issue pass.
 """
 
 from bisect import bisect_left
@@ -408,8 +405,10 @@ class DatapathScheduler:
                         left -= queued
                         if (port_gate is not None
                                 and port_gate._ports_used >= cache_ports):
-                            # Every cache port is taken, for the rest of
-                            # the pass: a walk would stop at its first node.
+                            # Every cache port is taken, and stays taken
+                            # for the rest of the pass (only a new cycle
+                            # frees one): a walk would stop at its first
+                            # node.
                             if not left:
                                 continue
                             walk = _ports_taken

@@ -14,8 +14,7 @@ class StridePrefetcher:
     def __init__(self, degree=2, table_size=16):
         self.degree = degree
         self.table_size = table_size
-        # stream key -> [last_addr, last_stride, confidence], updated in
-        # place
+        # stream key -> [last_addr, last_stride, confidence], updated in place
         self._table = {}
         self.issued = 0
         self.useful_hint = 0
