@@ -34,8 +34,7 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("workload,size_kb,ports", sorted(PINS),
-                         ids=lambda v: str(v))
+@pytest.mark.parametrize("workload,size_kb,ports", sorted(PINS), ids=str)
 def test_wide_cache_design_matches_pin(workload, size_kb, ports):
     design = DesignPoint(lanes=16, partitions=4, mem_interface="cache",
                          cache_size_kb=size_kb, cache_ports=ports,
