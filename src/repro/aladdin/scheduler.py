@@ -1138,7 +1138,9 @@ class CacheInterface:
 
         The tables are pure functions of the trace, the internal-array
         set, and the address map, so they are memoized on the trace and
-        shared (read-only) across runs of the same design shape.
+        shared (read-only) across runs of the same design shape.  The
+        scheduler's ``complete_node`` and round tables are taken here
+        too, once per run.
         """
         trace = sched.trace
         self._node_array = node_array = trace.node_array
